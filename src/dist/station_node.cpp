@@ -81,6 +81,19 @@ struct DistMetrics {
   return static_cast<std::uint32_t>(key & 0xffffffffu);
 }
 
+// Drains child cursors into this station's FIFO uplink one chunk per cursor
+// per pass, until a pass moves nothing. step(cursor) queues at most one
+// chunk and says whether it did. Draining cursor by cursor instead would put
+// one child's whole backlog ahead of the next child's first chunk, and that
+// child's subtree would start a window's serialization time late.
+template <typename Cursors, typename Step>
+void drain_round_robin(Cursors& cursors, Step step) {
+  for (bool more = true; more;) {
+    more = false;
+    for (auto& cursor : cursors) more = step(cursor) || more;
+  }
+}
+
 // fetch_req payload: req_id, doc_key, path of station ids walked so far
 // (originator first).
 struct FetchReq {
@@ -482,7 +495,9 @@ void StationNode::open_transfer_children(std::uint64_t transfer_id, Transfer& t)
     t.children.push_back(std::move(cursor));
     enqueue_held_chunks(t, t.children.back());
   }
-  for (ChildCursor& cursor : t.children) pump_cursor(transfer_id, cursor);
+  drain_round_robin(t.children, [&](ChildCursor& cursor) {
+    return send_next_chunk(transfer_id, t, cursor);
+  });
 }
 
 void StationNode::enqueue_held_chunks(Transfer& t, ChildCursor& cursor) {
@@ -512,13 +527,20 @@ void StationNode::enqueue_held_chunks(Transfer& t, ChildCursor& cursor) {
 void StationNode::pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
-  Transfer& t = it->second;
+  while (send_next_chunk(transfer_id, it->second, cursor)) {
+  }
+}
+
+bool StationNode::send_next_chunk(std::uint64_t transfer_id, Transfer& t,
+                                  ChildCursor& cursor) {
   if (dead_.contains(cursor.child)) {
     // Stop feeding a declared-dead child; its reparented subtree recovers
     // the tail through chunk-level repair instead.
     cursor.pending.clear();
-    return;
+    return false;
   }
+  // A chunk whose send fails is dropped and the next pending one tried, so
+  // a failure never strands the chunks queued behind it.
   while (!cursor.pending.empty() && cursor.in_flight.size() < config_.chunk.window) {
     const std::uint64_t key = cursor.pending.front();
     cursor.pending.pop_front();
@@ -570,7 +592,9 @@ void StationNode::pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor) {
       continue;
     }
     cursor.in_flight.emplace(key, req_id);
+    return true;
   }
+  return false;
 }
 
 Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
@@ -972,20 +996,12 @@ void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
       enqueue_held_chunks(t, t.children.back());
     }
   }
-  // Drain the cursors round-robin into the paced send queue, so the
-  // instructor's uplink interleaves stripe trees fairly (a sequential
-  // drain would delay one whole tree by the other's backlog).
-  bool more = true;
-  while (more) {
-    more = false;
-    for (ChildCursor& c : t.children) {
-      if (c.pending.empty()) continue;
-      enqueue_swarm_send(transfer_id, t,
-                         {c.child, c.child_pos, c.pending.front(), false});
-      c.pending.pop_front();
-      more = true;
-    }
-  }
+  drain_round_robin(t.children, [&](ChildCursor& c) {
+    if (c.pending.empty()) return false;
+    enqueue_swarm_send(transfer_id, t, {c.child, c.child_pos, c.pending.front(), false});
+    c.pending.pop_front();
+    return true;
+  });
 }
 
 void StationNode::resend_swarm_begin(std::uint64_t transfer_id, const Transfer& t,

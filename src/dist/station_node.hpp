@@ -184,7 +184,8 @@ class StationNode {
   // and pushes down the tree. Children receive ephemeral copies. With
   // config().chunk.enabled (the default) the push is chunked and pipelined:
   // interior stations relay each verified chunk before the next arrives, so
-  // makespan approaches blob_time + depth * chunk_time instead of
+  // makespan is about m * blob_time + depth * (2 * latency + chunk_time) +
+  // (depth - 1) * m * chunk_time (DESIGN.md §4d) instead of
   // depth * blob_time. Disabled, it is the historical whole-manifest
   // store-and-forward push.
   [[nodiscard]] Status broadcast_push(const DocManifest& manifest);
@@ -424,7 +425,12 @@ class StationNode {
   // rest happens as chunks verify in on_chunk_data).
   void open_transfer_children(std::uint64_t transfer_id, Transfer& t);
   void enqueue_held_chunks(Transfer& t, ChildCursor& cursor);
+  // Fills the cursor's window from its pending chunks.
   void pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor);
+  // Sends the cursor's next pending chunk if its window has room; false
+  // when nothing was sent (window full, queue empty or child dead).
+  [[nodiscard]] bool send_next_chunk(std::uint64_t transfer_id, Transfer& t,
+                                     ChildCursor& cursor);
   [[nodiscard]] Status send_chunk(std::uint64_t transfer_id, const Transfer& t,
                                   StationId child, std::uint64_t key,
                                   std::uint64_t req_id, bool retransmit);

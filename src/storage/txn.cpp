@@ -1,7 +1,5 @@
 #include "storage/txn.hpp"
 
-#include <algorithm>
-
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
@@ -91,34 +89,32 @@ TxnLockMode combine(TxnLockMode a, TxnLockMode b) {
 }  // namespace
 
 // Sink that both records undo entries and forwards to the database WAL with
-// the transaction's id.
+// the transaction's id. The undo log belongs to the Txn, which only its own
+// thread uses, so recording needs no manager lock while the caller holds
+// the physical latch.
 class TransactionManager::UndoSink final : public MutationSink {
  public:
-  UndoSink(TransactionManager* mgr, TxnId id) : mgr_(mgr), id_(id) {}
+  explicit UndoSink(Txn& txn) : txn_(txn) {}
 
   void on_mutation(const Mutation& m) override {
-    {
-      std::lock_guard<std::mutex> g(mgr_->mu_);
-      mgr_->txns_[id_.value()].undo.push_back(m);
-    }
+    txn_.undo_.push_back(m);
     LogRecord rec;
     switch (m.kind) {
       case MutationKind::insert: rec.kind = LogKind::insert; break;
       case MutationKind::update: rec.kind = LogKind::update; break;
       case MutationKind::erase: rec.kind = LogKind::erase; break;
     }
-    rec.txn = id_.value();
+    rec.txn = txn_.id_.value();
     rec.table = m.table;
     rec.row = m.row;
     rec.before = m.before;
     rec.after = m.after;
-    Status s = mgr_->db_.log(rec);
+    Status s = txn_.mgr_->db_.log(rec);
     if (!s.is_ok()) WDOC_CHECK(false, "txn WAL append failed: " + s.message());
   }
 
  private:
-  TransactionManager* mgr_;
-  TxnId id_;
+  Txn& txn_;
 };
 
 TransactionManager::TransactionManager(Database& db, std::chrono::milliseconds lock_timeout)
@@ -129,7 +125,7 @@ TransactionManager::~TransactionManager() = default;
 std::unique_ptr<Txn> TransactionManager::begin() {
   std::lock_guard<std::mutex> g(mu_);
   TxnId id = ids_.next();
-  txns_[id.value()] = TxnState{};
+  txns_.emplace(id.value(), TxnState{});
   TxnMetrics::get().begins.inc();
   LogRecord rec;
   rec.kind = LogKind::begin;
@@ -141,9 +137,12 @@ std::unique_ptr<Txn> TransactionManager::begin() {
 
 std::size_t TransactionManager::active_txns() const {
   std::lock_guard<std::mutex> g(mu_);
-  return static_cast<std::size_t>(
-      std::count_if(txns_.begin(), txns_.end(),
-                    [](const auto& kv) { return kv.second.active; }));
+  return txns_.size();
+}
+
+std::size_t TransactionManager::lock_entries() const {
+  std::lock_guard<std::mutex> g(mu_);
+  return locks_.size();
 }
 
 std::size_t TransactionManager::held_locks(TxnId id) const {
@@ -187,19 +186,25 @@ bool TransactionManager::would_deadlock(std::uint64_t waiter, const ResourceKey&
 
 Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMode mode) {
   std::unique_lock<std::mutex> g(mu_);
-  auto& state = txns_[txn.value()];
-  WDOC_CHECK(state.active, "acquire on finished txn");
+  auto state = txns_.find(txn.value());
+  WDOC_CHECK(state != txns_.end(), "acquire on finished txn");
 
-  auto& lock = locks_[key];
-  auto held_it = lock.holders.find(txn.value());
   TxnLockMode target = mode;
-  if (held_it != lock.holders.end()) {
-    target = combine(held_it->second, mode);
-    if (target == held_it->second) return Status::ok();  // already strong enough
+  if (auto lit = locks_.find(key); lit != locks_.end()) {
+    auto held_it = lit->second.holders.find(txn.value());
+    if (held_it != lit->second.holders.end()) {
+      target = combine(held_it->second, mode);
+      if (target == held_it->second) return Status::ok();  // already strong enough
+    }
   }
 
+  // Looks the entry up afresh on every call: while this thread waits,
+  // release_all erases an entry whose last holder leaves, so no reference
+  // into locks_ may be held across the wait.
   auto grantable = [&] {
-    for (const auto& [holder, held] : lock.holders) {
+    auto lit = locks_.find(key);
+    if (lit == locks_.end()) return true;
+    for (const auto& [holder, held] : lit->second.holders) {
       if (holder == txn.value()) continue;
       if (!txn_lock_compatible(held, target)) return false;
     }
@@ -241,13 +246,16 @@ Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMod
               "txn " + std::to_string(txn.value()) + " lock timeout on " + key.table};
     }
   }
-  lock.holders[txn.value()] = target;
-  state.held.insert(key);
+  locks_[key].holders[txn.value()] = target;
+  // Only this transaction's own thread finishes it, so its state survived
+  // the wait.
+  state->second.held.insert(key);
   return Status::ok();
 }
 
 void TransactionManager::release_all(TxnId txn) {
-  // Caller holds mu_.
+  // Caller holds mu_. The finished transaction's state goes with its
+  // locks, so txns_ holds exactly the active transactions.
   auto it = txns_.find(txn.value());
   if (it == txns_.end()) return;
   for (const ResourceKey& key : it->second.held) {
@@ -256,8 +264,7 @@ void TransactionManager::release_all(TxnId txn) {
     lit->second.holders.erase(txn.value());
     if (lit->second.holders.empty()) locks_.erase(lit);
   }
-  it->second.held.clear();
-  it->second.active = false;
+  txns_.erase(it);
   cv_.notify_all();
 }
 
@@ -282,10 +289,7 @@ Status TransactionManager::finish_commit(Txn& txn) {
   // Auto-checkpoint only when this is the sole active transaction: a
   // snapshot must not capture other transactions' uncommitted writes.
   // Holding mu_ keeps new transactions from beginning mid-snapshot.
-  std::size_t active = static_cast<std::size_t>(
-      std::count_if(txns_.begin(), txns_.end(),
-                    [](const auto& kv) { return kv.second.active; }));
-  if (active == 1) {
+  if (txns_.size() == 1) {
     std::lock_guard<std::mutex> latch(physical_mu_);
     WDOC_TRY(db_.maybe_checkpoint());
   }
@@ -295,32 +299,31 @@ Status TransactionManager::finish_commit(Txn& txn) {
 }
 
 void TransactionManager::finish_abort(Txn& txn) {
-  std::vector<Mutation> undo;
   {
-    std::lock_guard<std::mutex> g(mu_);
-    undo = std::move(txns_[txn.id().value()].undo);
-  }
-  // Roll back through Table directly: constraint checks already passed for
-  // the before-images, and FK cascades must not re-fire during undo.
-  std::lock_guard<std::mutex> latch(physical_mu_);
-  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    Table* t = db_.catalog().table(it->table);
-    WDOC_CHECK(t != nullptr, "undo into missing table");
-    switch (it->kind) {
-      case MutationKind::insert: {
-        Status s = t->erase(it->row);
-        WDOC_CHECK(s.is_ok(), "undo insert failed: " + s.message());
-        break;
-      }
-      case MutationKind::update: {
-        Status s = t->update(it->row, it->before);
-        WDOC_CHECK(s.is_ok(), "undo update failed: " + s.message());
-        break;
-      }
-      case MutationKind::erase: {
-        Status s = t->restore(it->row, it->before);
-        WDOC_CHECK(s.is_ok(), "undo erase failed: " + s.message());
-        break;
+    // Roll back through Table directly: constraint checks already passed for
+    // the before-images, and FK cascades must not re-fire during undo. The
+    // latch is dropped before mu_ is taken below: finish_commit takes them
+    // in the other order.
+    std::lock_guard<std::mutex> latch(physical_mu_);
+    for (auto it = txn.undo_.rbegin(); it != txn.undo_.rend(); ++it) {
+      Table* t = db_.catalog().table(it->table);
+      WDOC_CHECK(t != nullptr, "undo into missing table");
+      switch (it->kind) {
+        case MutationKind::insert: {
+          Status s = t->erase(it->row);
+          WDOC_CHECK(s.is_ok(), "undo insert failed: " + s.message());
+          break;
+        }
+        case MutationKind::update: {
+          Status s = t->update(it->row, it->before);
+          WDOC_CHECK(s.is_ok(), "undo update failed: " + s.message());
+          break;
+        }
+        case MutationKind::erase: {
+          Status s = t->restore(it->row, it->before);
+          WDOC_CHECK(s.is_ok(), "undo erase failed: " + s.message());
+          break;
+        }
       }
     }
   }
@@ -342,7 +345,7 @@ Txn::~Txn() {
 Result<RowId> Txn::insert(const std::string& table, std::vector<Value> row) {
   WDOC_CHECK(active_, "insert on finished txn");
   WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IX));
-  TransactionManager::UndoSink sink(mgr_, id_);
+  TransactionManager::UndoSink sink(*this);
   Result<RowId> id = [&]() -> Result<RowId> {
     std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
     return mgr_->db_.catalog().insert(table, std::move(row), &sink);
@@ -358,7 +361,7 @@ Status Txn::update(const std::string& table, RowId id, std::vector<Value> row) {
   WDOC_CHECK(active_, "update on finished txn");
   WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IX));
   WDOC_TRY(mgr_->lock_row(id_, table, id, TxnLockMode::X));
-  TransactionManager::UndoSink sink(mgr_, id_);
+  TransactionManager::UndoSink sink(*this);
   std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
   return mgr_->db_.catalog().update(table, id, std::move(row), &sink);
 }
@@ -368,7 +371,7 @@ Status Txn::update_column(const std::string& table, RowId id, std::string_view c
   WDOC_CHECK(active_, "update_column on finished txn");
   WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IX));
   WDOC_TRY(mgr_->lock_row(id_, table, id, TxnLockMode::X));
-  TransactionManager::UndoSink sink(mgr_, id_);
+  TransactionManager::UndoSink sink(*this);
   std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
   return mgr_->db_.catalog().update_column(table, id, column, std::move(v), &sink);
 }
@@ -377,7 +380,7 @@ Status Txn::erase(const std::string& table, RowId id) {
   WDOC_CHECK(active_, "erase on finished txn");
   WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IX));
   WDOC_TRY(mgr_->lock_row(id_, table, id, TxnLockMode::X));
-  TransactionManager::UndoSink sink(mgr_, id_);
+  TransactionManager::UndoSink sink(*this);
   std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
   return mgr_->db_.catalog().erase(table, id, &sink);
 }

@@ -59,6 +59,7 @@ class Txn {
   TransactionManager* mgr_;
   TxnId id_;
   bool active_ = true;
+  std::vector<Mutation> undo_;  // before-images, replayed in reverse on abort
 };
 
 class TransactionManager {
@@ -72,8 +73,11 @@ class TransactionManager {
 
   [[nodiscard]] std::unique_ptr<Txn> begin();
 
-  // Introspection for tests.
+  // Introspection for tests. A finished transaction leaves no state
+  // behind: active_txns() counts every transaction still tracked, and
+  // lock_entries() every resource with at least one holder.
   [[nodiscard]] std::size_t active_txns() const;
+  [[nodiscard]] std::size_t lock_entries() const;
   [[nodiscard]] std::size_t held_locks(TxnId id) const;
   [[nodiscard]] std::uint64_t deadlocks_detected() const { return deadlocks_; }
 
@@ -90,10 +94,9 @@ class TransactionManager {
     std::map<std::uint64_t, TxnLockMode> holders;  // txn id -> strongest mode
   };
 
+  // One per active transaction; erased when it commits or aborts.
   struct TxnState {
     std::set<ResourceKey> held;
-    std::vector<Mutation> undo;
-    bool active = true;
   };
 
   class UndoSink;

@@ -4,12 +4,19 @@
 //
 // Store-and-forward makespan grows as depth × blob_time (each hop waits for
 // the whole document before forwarding). Cut-through relays each verified
-// chunk immediately, so makespan approaches blob_time + depth × chunk_time.
+// chunk immediately, so makespan is about m × blob_time (the root's uplink
+// carries m copies) plus, per hop, two link latencies and one chunk time of
+// downlink serialization, plus m chunk times of uplink fan-out at each relay
+// (DESIGN.md §4d).
 // The locked-in bound: chunked ≤ 0.6 × store-and-forward for a 10 MB
 // lecture — a ≥ 1.67× improvement that catches any regression to
 // store-and-forward behavior (e.g. a window stall or a relay that waits for
 // blob completion).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "dist/station_node.hpp"
 #include "net/sim_network.hpp"
@@ -108,6 +115,47 @@ TEST(ChunkPipeline, CutThroughBeatsStoreAndForwardOnDepth3Tree) {
   // chunk-times of the root's own uplink serialization (2 copies ≈ 16.8 s).
   EXPECT_GE(store_forward.makespan_s, 3 * 8.0);
   EXPECT_LE(chunked.makespan_s, 25.0);
+}
+
+// Completion times of the root's m children after a push down an n-station
+// m-ary tree, earliest first.
+std::vector<double> child_completions(std::size_t n, std::uint64_t m) {
+  StationConfig cfg;
+  Cluster c(n, m, cfg);
+  auto doc = ten_mb_lecture(c.node(0).id());
+  EXPECT_TRUE(c.node(0).broadcast_push(doc).is_ok());
+  c.net().run();
+  std::vector<double> done;
+  for (std::size_t i = 1; i <= m; ++i) {
+    EXPECT_TRUE(c.store(i).has_materialized(doc.doc_key)) << "station " << i;
+    done.push_back(c.node(i).last_delivery().as_seconds());
+  }
+  std::sort(done.begin(), done.end());
+  return done;
+}
+
+// The instructor holds every chunk when the push starts, so its FIFO uplink
+// must interleave its children chunk by chunk. Ordered by completion, each
+// child then finishes within one chunk serialization time of the one before
+// it. Filling one child's whole window before the next child's first chunk
+// staggers them instead: by ~1.7 s at m=2, and by 8 chunk times between
+// consecutive children at m=8.
+TEST(ChunkPipeline, RootUplinkInterleavesChildren) {
+  const StationConfig cfg;
+  // One chunk message (256 KiB plus the chunk and wire headers) on the
+  // root's 10 Mb/s uplink: ~0.21 s.
+  const double chunk_s =
+      static_cast<double>(cfg.chunk.chunk_bytes + 2 * net::kWireHeaderBytes) * 8.0 /
+      kCampus1999.up_bps;
+  for (auto [n, m] : {std::pair<std::size_t, std::uint64_t>{3, 2}, {9, 8}}) {
+    const std::vector<double> done = child_completions(n, m);
+    ASSERT_EQ(done.size(), m);
+    for (std::size_t i = 1; i < done.size(); ++i) {
+      EXPECT_LE(done[i] - done[i - 1], chunk_s)
+          << "n=" << n << " m=" << m << ": child " << i << " done at " << done[i]
+          << " s, the one before at " << done[i - 1] << " s";
+    }
+  }
 }
 
 // The zero-copy contract of the payload refactor: pushing REAL bytes down

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "storage/txn.hpp"
 
 namespace wdoc::storage {
@@ -274,6 +276,91 @@ TEST_F(TxnFixture, LocksReleasedAfterCommit) {
   EXPECT_GT(mgr_.held_locks(id), 0u);
   ASSERT_TRUE(txn->commit().is_ok());
   EXPECT_EQ(mgr_.held_locks(id), 0u);
+}
+
+// A finished transaction leaves nothing behind, whether it committed or
+// aborted: no tracked state (commit cost must not grow with history) and no
+// lock-table entry.
+TEST_F(TxnFixture, FinishedTxnsLeaveNoState) {
+  auto committed = mgr_.begin();
+  ASSERT_TRUE(committed->update_column("accounts", a_, "balance", Value(90)).is_ok());
+  EXPECT_EQ(mgr_.active_txns(), 1u);
+  EXPECT_GT(mgr_.lock_entries(), 0u);
+  ASSERT_TRUE(committed->commit().is_ok());
+  EXPECT_EQ(mgr_.active_txns(), 0u);
+  EXPECT_EQ(mgr_.lock_entries(), 0u);
+
+  auto aborted = mgr_.begin();
+  ASSERT_TRUE(aborted->insert("accounts", {Value("carol"), Value(10)}).is_ok());
+  EXPECT_EQ(mgr_.active_txns(), 1u);
+  aborted->abort();
+  EXPECT_EQ(mgr_.active_txns(), 0u);
+  EXPECT_EQ(mgr_.lock_entries(), 0u);
+
+  for (int i = 0; i < 100; ++i) {
+    auto txn = mgr_.begin();
+    ASSERT_TRUE(txn->get("accounts", i % 2 == 0 ? a_ : b_).is_ok());
+    if (i % 2 == 0) {
+      ASSERT_TRUE(txn->commit().is_ok());
+    } else {
+      txn->abort();
+    }
+  }
+  EXPECT_EQ(mgr_.active_txns(), 0u);
+  EXPECT_EQ(mgr_.lock_entries(), 0u);
+}
+
+// Regression for a use-after-free: a waiter held a reference to the
+// lock-table entry of the row it waited on, and the entry was erased when
+// the row's last holder aborted. The woken reader must register its lock
+// in a live entry, so a writer that comes after it still finds the row
+// locked.
+TEST_F(TxnFixture, WaiterSurvivesLastHolderAbort) {
+  TransactionManager mgr(*db_, std::chrono::seconds(10));
+  auto& reg = obs::MetricsRegistry::global();
+  obs::Counter& s_waits = reg.counter("storage.lock_waits", {{"mode", "S"}});
+  obs::Counter& x_waits = reg.counter("storage.lock_waits", {{"mode", "X"}});
+
+  auto holder = mgr.begin();
+  ASSERT_TRUE(holder->update_column("accounts", a_, "balance", Value(0)).is_ok());
+
+  std::promise<void> read_done;
+  std::promise<void> reader_may_commit;
+  const std::uint64_t s_before = s_waits.value();
+  std::thread reader([&] {
+    auto txn = mgr.begin();
+    auto row = txn->get("accounts", a_);
+    EXPECT_TRUE(row.is_ok()) << row.message();
+    if (row.is_ok()) {
+      EXPECT_EQ(row.value()[1].as_int(), 100);  // the abort undid the 0
+    }
+    read_done.set_value();
+    reader_may_commit.get_future().wait();
+    EXPECT_TRUE(txn->commit().is_ok());
+  });
+  // The reader counts its wait under the manager's mutex and keeps the
+  // mutex until it blocks, so this abort lands while it waits.
+  while (s_waits.value() == s_before) std::this_thread::yield();
+  holder->abort();
+  read_done.get_future().wait();
+
+  std::atomic<bool> writer_done{false};
+  const std::uint64_t x_before = x_waits.value();
+  std::thread writer([&] {
+    auto txn = mgr.begin();
+    EXPECT_TRUE(txn->update_column("accounts", a_, "balance", Value(7)).is_ok());
+    EXPECT_TRUE(txn->commit().is_ok());
+    writer_done = true;
+  });
+  while (x_waits.value() == x_before && !writer_done.load()) std::this_thread::yield();
+  EXPECT_FALSE(writer_done.load()) << "writer took X over the reader's S lock";
+  reader_may_commit.set_value();
+  reader.join();
+  writer.join();
+
+  EXPECT_EQ(db_->catalog().table("accounts")->cell(a_, "balance").as_int(), 7);
+  EXPECT_EQ(mgr.active_txns(), 0u);
+  EXPECT_EQ(mgr.lock_entries(), 0u);
 }
 
 TEST_F(TxnFixture, UniqueViolationInsideTxnSurfacesCleanly) {
