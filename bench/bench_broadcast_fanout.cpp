@@ -10,7 +10,10 @@
 // --swarm runs only the E2b three-way strategy sweep (store-and-forward vs
 // pipelined vs swarm mode) and enforces the swarm acceptance bars: makespan
 // within 1.5x the bandwidth lower bound and every station materialized.
-// CI drift-checks its --metrics-json dump against BENCH_swarm.json.
+// Each row's makespan is also set as the gauge
+// fanout.makespan_ms{strategy=...}; CI drift-checks the --metrics-json dump,
+// counters and gauges, against BENCH_swarm.json.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -84,11 +87,12 @@ int run_swarm_sweep() {
               "complete");
   struct Row {
     const char* name;
+    const char* label;  // the gauge's strategy label
     Strategy strategy;
   };
-  const Row rows[] = {{"store-and-forward", Strategy::store_forward},
-                      {"pipelined", Strategy::pipelined},
-                      {"swarm", Strategy::swarm}};
+  const Row rows[] = {{"store-and-forward", "store_forward", Strategy::store_forward},
+                      {"pipelined", "pipelined", Strategy::pipelined},
+                      {"swarm", "swarm", Strategy::swarm}};
   double swarm_ratio = 0;
   bool all_complete = true;
   for (const Row& row : rows) {
@@ -96,6 +100,9 @@ int run_swarm_sweep() {
     const double ratio = r.makespan_s / bound_s;
     std::printf("  %18s %12.2f %11.2fx %10s\n", row.name, r.makespan_s, ratio,
                 r.complete ? "yes" : "NO");
+    obs::MetricsRegistry::global()
+        .gauge("fanout.makespan_ms", {{"strategy", row.label}})
+        .set(std::llround(r.makespan_s * 1000.0));
     if (row.strategy == Strategy::swarm) swarm_ratio = ratio;
     all_complete = all_complete && r.complete;
   }
