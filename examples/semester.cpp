@@ -284,9 +284,9 @@ int main(int argc, char** argv) {
   int scrape_attempts = 0;
   while (!scraped && scrape_attempts < 64) {
     admin
-        .scrape_cluster([&](obs::Snapshot snap, SimTime) {
-          cluster = std::move(snap);
-          scraped = true;
+        .scrape_cluster([&](Result<obs::Snapshot> r, SimTime) {
+          scraped = r.is_ok();
+          if (scraped) cluster = std::move(r).value();
         })
         .expect("scrape");
     net.run();

@@ -24,7 +24,6 @@ struct DistMetrics {
   obs::Counter& replications;
   obs::Counter& migrations;
   obs::Counter& failed_fetches;
-  obs::Counter& blob_serves;
   obs::Counter& failovers;
   obs::Counter& resurrections;
   obs::Counter& scrape_partials;
@@ -53,8 +52,8 @@ struct DistMetrics {
           reg.counter("dist.pushes"),         reg.counter("dist.pulls"),
           reg.counter("dist.serves"),         reg.counter("dist.replications"),
           reg.counter("dist.migrations"),     reg.counter("dist.failed_fetches"),
-          reg.counter("dist.blob_serves"),    reg.counter("dist.failovers"),
-          reg.counter("dist.resurrections"),  reg.counter("dist.scrape_partials"),
+          reg.counter("dist.failovers"),      reg.counter("dist.resurrections"),
+          reg.counter("dist.scrape_partials"),
           reg.counter("dist.chunk.sent"),     reg.counter("dist.chunk.bytes_sent"),
           reg.counter("dist.chunk.duplicates"), reg.counter("dist.chunk.rejects"),
           reg.counter("dist.chunk.retransmits"), reg.counter("dist.chunk.orphaned"),
@@ -92,6 +91,19 @@ void drain_round_robin(Cursors& cursors, Step step) {
     more = false;
     for (auto& cursor : cursors) more = step(cursor) || more;
   }
+}
+
+// Either push begin as a SwarmBegin: a ChunkBegin carries the same fields
+// and opens the pipelined tree, so its stripe count stays 0.
+[[nodiscard]] Result<net::SwarmBegin> decode_begin(const net::Message& msg) {
+  if (msg.type == net::kSwarmBegin) return net::SwarmBegin::decode(msg.payload);
+  auto chunk = net::ChunkBegin::decode(msg.payload);
+  if (!chunk) return chunk.error();
+  net::SwarmBegin out;
+  out.transfer_id = chunk.value().transfer_id;
+  out.chunk_bytes = chunk.value().chunk_bytes;
+  out.manifest = std::move(chunk).value().manifest;
+  return out;
 }
 
 // fetch_req payload: req_id, doc_key, path of station ids walked so far
@@ -184,81 +196,11 @@ struct FetchErr {
     FetchErr out;
     auto id = r.u64();
     auto key = r.str();
-    if (!id || !key) return Error{Errc::corrupt, "bad fetch err"};
-    out.req_id = id.value();
-    out.doc_key = std::move(key).value();
-    // Older peers omit the code; default stands.
     auto code = r.u32();
-    if (code) out.code = static_cast<Errc>(code.value());
-    return out;
-  }
-};
-
-struct BlobReq {
-  std::uint64_t req_id = 0;
-  std::string doc_key;
-  Digest128 digest;
-  std::uint64_t size = 0;
-  blob::MediaType type = blob::MediaType::other;
-
-  [[nodiscard]] Bytes encode() const {
-    Writer w;
-    w.u64(req_id);
-    w.str(doc_key);
-    w.u64(digest.lo);
-    w.u64(digest.hi);
-    w.u64(size);
-    w.u8(static_cast<std::uint8_t>(type));
-    return w.take();
-  }
-  [[nodiscard]] static Result<BlobReq> decode(std::span<const std::uint8_t> b) {
-    Reader r(b);
-    BlobReq out;
-    auto id = r.u64();
-    auto key = r.str();
-    if (!id || !key) return Error{Errc::corrupt, "bad blob req"};
+    if (!id || !key || !code) return Error{Errc::corrupt, "bad fetch err"};
     out.req_id = id.value();
     out.doc_key = std::move(key).value();
-    auto lo = r.u64();
-    auto hi = r.u64();
-    auto size = r.u64();
-    if (!lo || !hi || !size) return Error{Errc::corrupt, "bad blob req"};
-    out.digest = Digest128{lo.value(), hi.value()};
-    out.size = size.value();
-    auto type = r.u8();
-    if (type) out.type = static_cast<blob::MediaType>(type.value());
-    return out;
-  }
-};
-
-// blob_rsp payload echoes the served ref, so the requester can register the
-// payload without keeping per-request state of its own.
-struct BlobRsp {
-  std::uint64_t req_id = 0;
-  BlobRef blob;
-
-  [[nodiscard]] Bytes encode() const {
-    Writer w;
-    w.u64(req_id);
-    w.u64(blob.digest.lo);
-    w.u64(blob.digest.hi);
-    w.u64(blob.size);
-    w.u8(static_cast<std::uint8_t>(blob.type));
-    return w.take();
-  }
-  [[nodiscard]] static Result<BlobRsp> decode(std::span<const std::uint8_t> b) {
-    Reader r(b);
-    BlobRsp out;
-    auto id = r.u64();
-    auto lo = r.u64();
-    auto hi = r.u64();
-    auto size = r.u64();
-    auto type = r.u8();
-    if (!id || !lo || !hi || !size || !type) return Error{Errc::corrupt, "bad blob rsp"};
-    out.req_id = id.value();
-    out.blob.digest = Digest128{lo.value(), hi.value()};
-    out.blob.size = size.value();
-    out.blob.type = static_cast<blob::MediaType>(type.value());
+    out.code = static_cast<Errc>(code.value());
     return out;
   }
 };
@@ -418,8 +360,7 @@ Status StationNode::broadcast_push(const DocManifest& manifest) {
     WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
   }
   if (!config_.chunk.enabled) return broadcast_push_store_forward(manifest);
-  if (config_.swarm.enabled) return start_swarm_push(manifest);
-  return start_chunked_push(manifest);
+  return start_push(manifest, config_.swarm.enabled ? config_.swarm.trees : 0);
 }
 
 Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
@@ -444,51 +385,132 @@ Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
 
 // --- chunked push ------------------------------------------------------------
 
-Status StationNode::start_chunked_push(const DocManifest& manifest) {
-  std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
+StationNode::Transfer StationNode::new_transfer(const DocManifest& manifest,
+                                                std::uint32_t chunk_bytes) {
   Transfer t;
   t.manifest = manifest;
-  t.chunk_bytes = config_.chunk.chunk_bytes;
+  t.chunk_bytes = chunk_bytes;
   for (const BlobRef& b : manifest.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
+    t.total_chunks += blob::chunk_count(b.size, chunk_bytes);
+  }
+  return t;
+}
+
+Status StationNode::start_push(const DocManifest& manifest, std::uint32_t trees) {
+  const std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
+  Transfer t = new_transfer(manifest, config_.chunk.chunk_bytes);
+  if (trees != 0 && t.total_chunks > net::kMaxWireChunks) {
+    return {Errc::invalid_argument, "transfer too large for swarm mode"};
   }
   t.delivered = true;  // the instructor holds the persistent instance
   last_delivery_ = fabric_->now();
   t.trace_id = obs::derive_trace_id(transfer_id);
-  t.span = obs::Tracer::global().begin("dist.push " + manifest.doc_key, 0,
-                                       fabric_->now(), self_.value(), t.trace_id);
+  t.span = obs::Tracer::global().begin(
+      (trees == 0 ? "dist.push " : "swarm.push ") + manifest.doc_key, 0, fabric_->now(),
+      self_.value(), t.trace_id);
+  open_transfer(transfer_id, std::move(t), trees);
+  return Status::ok();
+}
+
+void StationNode::on_begin(const net::Message& msg) {
+  auto begin = decode_begin(msg);
+  if (!begin) {
+    WDOC_ERROR("%s decode failed: %s", msg.type.c_str(), begin.message().c_str());
+    return;
+  }
+  Reader mr(begin.value().manifest);
+  auto manifest = DocManifest::deserialize(mr);
+  if (!manifest) {
+    WDOC_ERROR("%s manifest decode failed: %s", msg.type.c_str(),
+               manifest.message().c_str());
+    return;
+  }
+  ++stats_.pushes_received;
+  const std::uint64_t transfer_id = begin.value().transfer_id;
+  // A swarm station is a child in several stripe trees: every tree's parent
+  // announces, the first begin wins, the rest are idempotent no-ops (and
+  // the redundancy is what makes a lost begin survivable under loss).
+  if (transfers_.contains(transfer_id)) return;
+  // The stripe count comes from the wire, not local config — the whole
+  // cluster must agree on the forest geometry.
+  const std::uint32_t trees = begin.value().trees;
+  const DocManifest& m = manifest.value();
+  Transfer t = new_transfer(m, begin.value().chunk_bytes);
+  if (trees != 0 && t.total_chunks > net::kMaxWireChunks) return;
+  t.trace_id = msg.trace.trace_id;
+  t.trace_sampled = msg.trace.sampled;
+  t.span = obs::Tracer::global().begin(
+      (trees == 0 ? "dist.push.hop " : "swarm.push.hop ") + m.doc_key, msg.trace.span_id,
+      fabric_->now(), self_.value(), t.trace_id);
+  // Mirror entry first, so even a transfer that loses its tail leaves the
+  // routing information chunk-level repair needs.
+  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
+  auto& bs = store_->blobs();
+  for (const BlobRef& b : m.blobs) {
+    if (bs.find(b.digest).has_value() || b.size == 0) continue;
+    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
+  }
+  open_transfer(transfer_id, std::move(t), trees);
+}
+
+void StationNode::open_transfer(std::uint64_t transfer_id, Transfer t,
+                                std::uint32_t trees) {
   auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
   WDOC_CHECK(inserted, "duplicate transfer id");
-  open_transfer_children(transfer_id, it->second);
+  if (trees == 0) {
+    open_transfer_children(transfer_id, it->second);
+  } else {
+    init_swarm(transfer_id, it->second, trees);
+    open_swarm_children(transfer_id, it->second);
+  }
+  if (!it->second.delivered && transfer_blobs_complete(it->second)) {
+    deliver_transfer(transfer_id);
+  }
   maybe_retire_transfer(transfer_id);
-  return Status::ok();
+}
+
+net::Payload StationNode::begin_payload(std::uint64_t transfer_id,
+                                        const Transfer& t) const {
+  Writer w;
+  t.manifest.serialize(w);
+  if (t.swarm()) {
+    net::SwarmBegin begin;
+    begin.transfer_id = transfer_id;
+    begin.chunk_bytes = t.chunk_bytes;
+    begin.trees = t.stripe_trees;
+    begin.manifest = w.take();
+    return net::Payload{begin.encode()};
+  }
+  net::ChunkBegin begin;
+  begin.transfer_id = transfer_id;
+  begin.chunk_bytes = t.chunk_bytes;
+  begin.manifest = w.take();
+  return net::Payload{begin.encode()};
+}
+
+Status StationNode::send_begin(const Transfer& t, StationId to,
+                               const net::Payload& payload) {
+  net::Message out;
+  out.from = self_;
+  out.to = to;
+  out.type = t.swarm() ? kSwarmBegin : kChunkBegin;
+  out.payload = payload;
+  // The begin carries the structure (the small copied objects) plus the
+  // manifest itself; blob bytes are charged chunk by chunk.
+  out.wire_size = t.manifest.structure_bytes + payload.size();
+  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
+  (t.swarm() ? DistMetrics::get().swarm_begins : DistMetrics::get().pushes).inc();
+  return fabric_->send(std::move(out));
 }
 
 void StationNode::open_transfer_children(std::uint64_t transfer_id, Transfer& t) {
   if (position_ == 0) return;
-  net::ChunkBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
   // One refcounted buffer shared by every child's begin: m children bump a
   // refcount instead of copying the manifest m times.
-  const net::Payload payload{begin.encode()};
+  const net::Payload payload = begin_payload(transfer_id, t);
   for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
     StationId cid = tree_order()[child - 1];
-    net::Message out;
-    out.from = self_;
-    out.to = cid;
-    out.type = kChunkBegin;
-    out.payload = payload;
-    // The begin carries the structure (the small copied objects) plus the
-    // manifest itself; blob bytes are charged chunk by chunk.
-    out.wire_size = t.manifest.structure_bytes + payload.size();
-    out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-    DistMetrics::get().pushes.inc();
-    Status s = fabric_->send(std::move(out));
-    if (!s.is_ok()) continue;
+    if (!send_begin(t, cid, payload).is_ok()) continue;
     ++stats_.pushes_forwarded;
     ChildCursor cursor;
     cursor.child = cid;
@@ -506,7 +528,7 @@ void StationNode::enqueue_held_chunks(Transfer& t, ChildCursor& cursor) {
     const BlobRef& b = t.manifest.blobs[ordinal];
     const std::uint32_t total = blob::chunk_count(b.size, t.chunk_bytes);
     for (std::uint32_t i = 0; i < total; ++i) {
-      if (t.swarm) {
+      if (t.swarm()) {
         // A stripe cursor carries only its own tree's chunks, and skips
         // any the child has already reported owning.
         const std::uint32_t g = t.chunk_prefix[ordinal] + i;
@@ -601,44 +623,54 @@ Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
                                StationId child, std::uint64_t key,
                                std::uint64_t req_id, bool retransmit) {
   const std::uint32_t ordinal = key_ordinal(key);
-  const std::uint32_t index = key_index(key);
   if (ordinal >= t.manifest.blobs.size()) {
     return {Errc::invalid_argument, "chunk key out of range"};
   }
-  const BlobRef& b = t.manifest.blobs[ordinal];
-  auto payload = store_->blobs().chunk_payload(b.digest, index, t.chunk_bytes);
-  if (!payload) return payload.status();
+  net::Message out;
+  auto chunk_len = chunk_message(out, child, t.manifest.blobs[ordinal], key_index(key),
+                                 t.chunk_bytes, req_id, transfer_id);
+  if (!chunk_len) return chunk_len.status();
+  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
+  ++stats_.chunks_sent;
+  stats_.chunk_bytes_sent += chunk_len.value();
+  auto& dm = DistMetrics::get();
+  dm.chunk_sent.inc();
+  dm.chunk_bytes.inc(chunk_len.value());
+  if (retransmit) {
+    ++stats_.chunk_retransmits;
+    dm.chunk_retransmits.inc();
+  }
+  return fabric_->send(std::move(out));
+}
+
+Result<std::uint32_t> StationNode::chunk_message(net::Message& out, StationId to,
+                                                 const BlobRef& blob, std::uint32_t index,
+                                                 std::uint32_t chunk_bytes,
+                                                 std::uint64_t req_id,
+                                                 std::uint64_t transfer_id) {
+  auto payload = store_->blobs().chunk_payload(blob.digest, index, chunk_bytes);
+  if (!payload) return payload.error();
   net::ChunkData d;
   d.req_id = req_id;
   d.transfer_id = transfer_id;
-  d.digest = b.digest;
+  d.digest = blob.digest;
   d.index = index;
-  d.chunk_len = blob::chunk_size_at(b.size, index, t.chunk_bytes);
   d.has_payload = !payload.value().empty();
-  d.chunk_digest = d.has_payload
-                       ? blob::real_chunk_digest(payload.value())
-                       : blob::synthetic_chunk_digest(b.digest, index);
+  d.chunk_len = d.has_payload ? static_cast<std::uint32_t>(payload.value().size())
+                              : blob::chunk_size_at(blob.size, index, chunk_bytes);
+  if (d.chunk_len == 0) return Error{Errc::unavailable, "empty chunk"};
+  d.chunk_digest = d.has_payload ? blob::real_chunk_digest(payload.value())
+                                 : blob::synthetic_chunk_digest(blob.digest, index);
   if (d.has_payload) d.payload = std::move(payload).value();
-  net::Message out;
   out.from = self_;
-  out.to = child;
+  out.to = to;
   out.type = kChunkData;
   out.payload = d.encode();  // the small per-hop header
   // The chunk bytes ride out-of-band: the slice from the blob store is
   // forwarded untouched (a refcount bump, not a copy).
   out.body = d.payload;
   if (!d.has_payload) out.wire_size = d.chunk_len + net::kWireHeaderBytes;
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-  ++stats_.chunks_sent;
-  stats_.chunk_bytes_sent += d.chunk_len;
-  auto& dm = DistMetrics::get();
-  dm.chunk_sent.inc();
-  dm.chunk_bytes.inc(d.chunk_len);
-  if (retransmit) {
-    ++stats_.chunk_retransmits;
-    dm.chunk_retransmits.inc();
-  }
-  return fabric_->send(std::move(out));
+  return d.chunk_len;
 }
 
 bool StationNode::transfer_blobs_complete(const Transfer& t) const {
@@ -671,8 +703,8 @@ void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
   if (!t.delivered) return;
   // A swarm transfer stays alive while its gossip loop runs — it may still
   // be serving chunks to (or pulling them for) incomplete neighbors.
-  if (t.swarm && !t.gossip_done) return;
-  if (t.swarm && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) return;
+  if (t.swarm() && !t.gossip_done) return;
+  if (t.swarm() && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) return;
   for (const ChildCursor& c : t.children) {
     if (!c.pending.empty() || !c.in_flight.empty()) return;
   }
@@ -680,47 +712,6 @@ void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
   if (t.pace_timer) t.pace_timer->store(true);
   obs::Tracer::global().end(t.span, fabric_->now());
   transfers_.erase(it);
-}
-
-void StationNode::on_chunk_begin(const net::Message& msg) {
-  auto begin = net::ChunkBegin::decode(msg.payload);
-  if (!begin) {
-    WDOC_ERROR("chunk begin decode failed: %s", begin.message().c_str());
-    return;
-  }
-  Reader mr(begin.value().manifest);
-  auto manifest = DocManifest::deserialize(mr);
-  if (!manifest) {
-    WDOC_ERROR("chunk begin manifest decode failed: %s", manifest.message().c_str());
-    return;
-  }
-  ++stats_.pushes_received;
-  const std::uint64_t transfer_id = begin.value().transfer_id;
-  if (transfers_.contains(transfer_id)) return;  // duplicate begin
-  const DocManifest& m = manifest.value();
-  Transfer t;
-  t.manifest = m;
-  t.chunk_bytes = begin.value().chunk_bytes;
-  for (const BlobRef& b : m.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  t.trace_id = msg.trace.trace_id;
-  t.trace_sampled = msg.trace.sampled;
-  t.span = obs::Tracer::global().begin("dist.push.hop " + m.doc_key, msg.trace.span_id,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  // Mirror entry first, so even a transfer that loses its tail leaves the
-  // routing information chunk-level repair needs.
-  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
-  auto& bs = store_->blobs();
-  for (const BlobRef& b : m.blobs) {
-    if (bs.find(b.digest).has_value() || b.size == 0) continue;
-    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
-  }
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  open_transfer_children(transfer_id, it->second);
-  if (transfer_blobs_complete(it->second)) deliver_transfer(transfer_id);
-  maybe_retire_transfer(transfer_id);
 }
 
 void StationNode::on_chunk_data(const net::Message& msg) {
@@ -785,7 +776,7 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     }
   }
   if (ordinal == std::numeric_limits<std::uint32_t>::max()) return;
-  if (t.swarm && t.sched && ordinal + 1 < t.chunk_prefix.size()) {
+  if (t.swarm() && t.sched && ordinal + 1 < t.chunk_prefix.size()) {
     // Even a duplicate settles the in-flight request for this chunk.
     t.sched->mark_have(t.chunk_prefix[ordinal] + d.index, fabric_->now());
   }
@@ -794,7 +785,7 @@ void StationNode::on_chunk_data(const net::Message& msg) {
   // before the next chunk arrives. In swarm mode only the chunk's stripe
   // cursors carry it, and children already known to hold it are skipped.
   const std::uint64_t key = chunk_key(ordinal, d.index);
-  if (t.swarm) {
+  if (t.swarm()) {
     const std::uint32_t g = t.chunk_prefix[ordinal] + d.index;
     const std::uint32_t tree = swarm::stripe_of(g, t.stripe_trees);
     for (ChildCursor& c : t.children) {
@@ -831,39 +822,22 @@ void StationNode::on_chunk_req(const net::Message& msg) {
   const net::ChunkReq& q = req.value();
   auto& dm = DistMetrics::get();
   std::uint32_t served = 0;
+  BlobRef blob;
+  blob.digest = q.digest;
+  blob.size = q.size;
   for (std::uint32_t index : q.indices) {
-    auto payload = store_->blobs().chunk_payload(q.digest, index, q.chunk_bytes);
-    if (!payload) continue;  // not held here — the requester walks further up
-    const std::uint32_t chunk_len =
-        payload.value().empty()
-            ? blob::chunk_size_at(q.size, index, q.chunk_bytes)
-            : static_cast<std::uint32_t>(payload.value().size());
-    if (chunk_len == 0) continue;
-    net::ChunkData d;
-    d.req_id = 0;       // repair data is unacked; the rsp summary closes the rpc
-    d.transfer_id = 0;  // not part of a push transfer: no relay downstream
-    d.digest = q.digest;
-    d.index = index;
-    d.chunk_len = chunk_len;
-    d.has_payload = !payload.value().empty();
-    d.chunk_digest = d.has_payload
-                         ? blob::real_chunk_digest(payload.value())
-                         : blob::synthetic_chunk_digest(q.digest, index);
-    if (d.has_payload) d.payload = std::move(payload).value();
+    // A chunk not held here is skipped; the requester walks further up, and
+    // a pinned fetch from a station without the blob gets served = 0.
     net::Message out;
-    out.from = self_;
-    out.to = msg.from;
-    out.type = kChunkData;
-    out.payload = d.encode();
-    out.body = d.payload;  // repair serves the stored slice, zero-copy
-    if (!d.has_payload) out.wire_size = d.chunk_len + net::kWireHeaderBytes;
-    if (!fabric_->send(std::move(out)).is_ok()) continue;
+    auto chunk_len = chunk_message(out, msg.from, blob, index, q.chunk_bytes,
+                                   /*req_id=*/0, /*transfer_id=*/0);
+    if (!chunk_len || !fabric_->send(std::move(out)).is_ok()) continue;
     ++served;
     ++stats_.chunks_sent;
     ++stats_.chunk_repair_served;
-    stats_.chunk_bytes_sent += chunk_len;
+    stats_.chunk_bytes_sent += chunk_len.value();
     dm.chunk_sent.inc();
-    dm.chunk_bytes.inc(chunk_len);
+    dm.chunk_bytes.inc(chunk_len.value());
   }
   dm.chunk_repair_served.inc(served);
   // FIFO links guarantee the data above lands before this summary.
@@ -891,35 +865,10 @@ void StationNode::on_chunk_rsp(const net::Message& msg) {
 
 // --- swarm mode (multi-source distribution, DESIGN.md §4f) -------------------
 
-Status StationNode::start_swarm_push(const DocManifest& manifest) {
-  std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
-  Transfer t;
-  t.manifest = manifest;
-  t.chunk_bytes = config_.chunk.chunk_bytes;
-  for (const BlobRef& b : manifest.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  if (t.total_chunks > net::kMaxWireChunks) {
-    return {Errc::invalid_argument, "transfer too large for swarm mode"};
-  }
-  t.delivered = true;  // the instructor holds the persistent instance
-  last_delivery_ = fabric_->now();
-  t.trace_id = obs::derive_trace_id(transfer_id);
-  t.span = obs::Tracer::global().begin("swarm.push " + manifest.doc_key, 0,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  init_swarm(transfer_id, it->second, config_.swarm.trees);
-  open_swarm_children(transfer_id, it->second);
-  maybe_retire_transfer(transfer_id);
-  return Status::ok();
-}
-
 void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees) {
-  t.swarm = true;
   swarm::SwarmConfig cfg = config_.swarm;
-  cfg.trees = std::clamp<std::uint32_t>(trees, 1, net::kMaxWireTrees);
-  t.stripe_trees = cfg.trees;
+  cfg.trees = trees;
+  t.stripe_trees = trees;
   t.chunk_prefix.assign(1, 0);
   for (const BlobRef& b : t.manifest.blobs) {
     t.chunk_prefix.push_back(t.chunk_prefix.back() +
@@ -960,16 +909,9 @@ void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32
 void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
   if (position_ == 0) return;
   const std::uint64_t n = tree_order().size();
-  net::SwarmBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  begin.trees = t.stripe_trees;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
   // One refcounted begin shared by every stripe child; a station that is
   // our child in several trees gets one begin but one cursor per tree.
-  const net::Payload payload{begin.encode()};
+  const net::Payload payload = begin_payload(transfer_id, t);
   std::set<std::uint64_t> announced;
   for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
     for (std::uint64_t child_pos :
@@ -977,15 +919,7 @@ void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
       if (child_pos < 1 || child_pos > n || child_pos == position_) continue;
       StationId cid = tree_order()[child_pos - 1];
       if (announced.insert(child_pos).second) {
-        net::Message out;
-        out.from = self_;
-        out.to = cid;
-        out.type = kSwarmBegin;
-        out.payload = payload;
-        out.wire_size = t.manifest.structure_bytes + payload.size();
-        out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-        DistMetrics::get().swarm_begins.inc();
-        (void)fabric_->send(std::move(out));
+        (void)send_begin(t, cid, payload);
         ++stats_.pushes_forwarded;
       }
       ChildCursor cursor;
@@ -1002,26 +936,6 @@ void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
     c.pending.pop_front();
     return true;
   });
-}
-
-void StationNode::resend_swarm_begin(std::uint64_t transfer_id, const Transfer& t,
-                                     const ChildCursor& c) {
-  net::SwarmBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  begin.trees = t.stripe_trees;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
-  net::Message out;
-  out.from = self_;
-  out.to = c.child;
-  out.type = kSwarmBegin;
-  out.payload = net::Payload{begin.encode()};
-  out.wire_size = t.manifest.structure_bytes + out.payload.size();
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-  DistMetrics::get().swarm_begins.inc();
-  (void)fabric_->send(std::move(out));
 }
 
 SimTime StationNode::swarm_pace_interval(const Transfer& t) const {
@@ -1124,7 +1038,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
   Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr || t.gossip_done) return;
+  if (!t.swarm() || t.sched == nullptr || t.gossip_done) return;
   if (!fabric_->is_online(self_)) {
     // Crashed mid-transfer: the swarm is done with us. If we restart later
     // the blob-level pull/repair path catches us up; keeping the gossip
@@ -1163,11 +1077,14 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   // every few rounds until the child speaks; begins are idempotent.
   if (t.gossip_rounds > 8 && t.gossip_rounds % 4 == 1) {
     std::set<std::uint64_t> silent;
+    net::Payload begin;
     for (const ChildCursor& c : t.children) {
       if (c.child_pos < 1 || c.child_pos > n) continue;
       if (dead_.contains(c.child)) continue;
       if (t.sched->peer_heard_at(c.child_pos) != SimTime::zero()) continue;
-      if (silent.insert(c.child_pos).second) resend_swarm_begin(transfer_id, t, c);
+      if (!silent.insert(c.child_pos).second) continue;
+      if (begin.empty()) begin = begin_payload(transfer_id, t);
+      (void)send_begin(t, c.child, begin);
     }
   }
   // Advertised backlog approximates a new request's serve latency in
@@ -1266,52 +1183,6 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   schedule_swarm_tick(transfer_id);
 }
 
-void StationNode::on_swarm_begin(const net::Message& msg) {
-  auto begin = net::SwarmBegin::decode(msg.payload);
-  if (!begin) {
-    WDOC_ERROR("swarm begin decode failed: %s", begin.message().c_str());
-    return;
-  }
-  Reader mr(begin.value().manifest);
-  auto manifest = DocManifest::deserialize(mr);
-  if (!manifest) {
-    WDOC_ERROR("swarm begin manifest decode failed: %s", manifest.message().c_str());
-    return;
-  }
-  ++stats_.pushes_received;
-  const std::uint64_t transfer_id = begin.value().transfer_id;
-  // A station is a child in several stripe trees: every tree's parent
-  // announces, the first begin wins, the rest are idempotent no-ops (and
-  // the redundancy is what makes a lost begin survivable under loss).
-  if (transfers_.contains(transfer_id)) return;
-  const DocManifest& m = manifest.value();
-  Transfer t;
-  t.manifest = m;
-  t.chunk_bytes = begin.value().chunk_bytes;
-  for (const BlobRef& b : m.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  if (t.total_chunks > net::kMaxWireChunks) return;
-  t.trace_id = msg.trace.trace_id;
-  t.trace_sampled = msg.trace.sampled;
-  t.span = obs::Tracer::global().begin("swarm.push.hop " + m.doc_key, msg.trace.span_id,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
-  auto& bs = store_->blobs();
-  for (const BlobRef& b : m.blobs) {
-    if (bs.find(b.digest).has_value() || b.size == 0) continue;
-    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
-  }
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  // The stripe count comes from the wire, not local config — the whole
-  // cluster must agree on the forest geometry.
-  init_swarm(transfer_id, it->second, begin.value().trees);
-  open_swarm_children(transfer_id, it->second);
-  if (transfer_blobs_complete(it->second)) deliver_transfer(transfer_id);
-  maybe_retire_transfer(transfer_id);
-}
-
 bool StationNode::position_matches(std::uint64_t position, StationId from) const {
   return position >= 1 && position <= tree_order().size() &&
          tree_order()[position - 1] == from;
@@ -1327,7 +1198,7 @@ void StationNode::on_swarm_have(const net::Message& msg) {
     return;
   }
   Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr) return;
+  if (!t.swarm() || t.sched == nullptr) return;
   if (std::uint64_t{h.total_chunks} != t.total_chunks) return;  // geometry mismatch
   if (!position_matches(h.position, msg.from)) return;
   swarm::PeerReport report;
@@ -1354,7 +1225,7 @@ void StationNode::on_swarm_req(const net::Message& msg) {
     return;
   }
   Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr) return;
+  if (!t.swarm() || t.sched == nullptr) return;
   if (std::uint64_t{q.total_chunks} != t.total_chunks) return;
   if (!position_matches(q.position, msg.from)) return;
   t.gossip_heard = true;  // an explicit request is always a sign of need
@@ -1578,12 +1449,8 @@ void StationNode::on_message(const net::Message& msg) {
     on_fetch_rsp(msg);
   } else if (msg.type == kFetchErr) {
     on_fetch_err(msg);
-  } else if (msg.type == kBlobReq) {
-    on_blob_req(msg);
-  } else if (msg.type == kBlobRsp) {
-    on_blob_rsp(msg);
-  } else if (msg.type == kChunkBegin) {
-    on_chunk_begin(msg);
+  } else if (msg.type == kChunkBegin || msg.type == kSwarmBegin) {
+    on_begin(msg);
   } else if (msg.type == kChunkData) {
     on_chunk_data(msg);
   } else if (msg.type == kChunkAck) {
@@ -1592,8 +1459,6 @@ void StationNode::on_message(const net::Message& msg) {
     on_chunk_req(msg);
   } else if (msg.type == kChunkRsp) {
     on_chunk_rsp(msg);
-  } else if (msg.type == kSwarmBegin) {
-    on_swarm_begin(msg);
   } else if (msg.type == kSwarmHave) {
     on_swarm_have(msg);
   } else if (msg.type == kSwarmReq) {
@@ -1727,8 +1592,7 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
   net::RpcOptions opts = options.value_or(config_.rpc);
   if (d != nullptr) {
     // A local reference knows the document's size: give each attempt room
-    // for the transfer itself on the slowest link this cluster models,
-    // just as fetch_blob does.
+    // for the transfer itself on the slowest link this cluster models.
     opts.deadline += SimTime::seconds(
         static_cast<double>(d->manifest.total_bytes()) * 8.0 / config_.min_bandwidth_bps);
   }
@@ -1886,26 +1750,9 @@ void StationNode::on_fetch_err(const net::Message& msg) {
 
 // --- blobs -------------------------------------------------------------------
 
-Status StationNode::send_blob_req(std::uint64_t req_id, StationId holder,
-                                  const std::string& doc_key, const BlobRef& blob) {
-  rpc_target_[req_id] = holder;
-  BlobReq req;
-  req.req_id = req_id;
-  req.doc_key = doc_key;
-  req.digest = blob.digest;
-  req.size = blob.size;
-  req.type = blob.type;
-  net::Message msg;
-  msg.from = self_;
-  msg.to = holder;
-  msg.type = kBlobReq;
-  msg.payload = req.encode();
-  return fabric_->send(std::move(msg));
-}
-
-Status StationNode::fetch_blob_rpc(StationId holder, const std::string& doc_key,
-                                   const BlobRef& blob, BlobFetchCallback cb,
-                                   std::optional<net::RpcOptions> options) {
+Status StationNode::fetch_blob(StationId holder, const std::string& doc_key,
+                               const BlobRef& blob, BlobFetchCallback cb,
+                               std::optional<net::RpcOptions> options) {
   // Already resident (e.g. a previous fetch or a pushed lecture): no wire
   // traffic needed.
   if (store_->blobs().find(blob.digest).has_value()) {
@@ -1913,89 +1760,22 @@ Status StationNode::fetch_blob_rpc(StationId holder, const std::string& doc_key,
     cb(blob, fabric_->now());
     return Status::ok();
   }
-  // Large blobs (and blobs already partially assembled) stream at chunk
-  // granularity from the pinned holder — an interrupted fetch resumes from
-  // the bitmap instead of restarting the whole transfer.
-  if (config_.chunk.enabled &&
-      (blob.size > config_.chunk.chunk_bytes ||
-       store_->blobs().partial(blob.digest) != nullptr)) {
-    BlobPull pull;
-    pull.doc_key = doc_key;
-    pull.blob = blob;
-    pull.holder = holder;
-    pull.home = holder;
-    pull.base = options.value_or(config_.rpc);
-    BlobRef want = blob;
-    pull.done = [cb = std::move(cb), want](Status s, SimTime t) {
-      if (s.is_ok()) {
-        cb(want, t);
-      } else {
-        cb(Result<BlobRef>(s.error()), t);
-      }
-    };
-    return pull_blob_chunks(std::move(pull));
-  }
-  net::RpcOptions opts = options.value_or(config_.rpc);
-  // The payload serializes on both endpoints' links; give each attempt room
-  // for the transfer itself on the slowest link this cluster models.
-  opts.deadline += SimTime::seconds(static_cast<double>(blob.size) * 8.0 /
-                                    config_.min_bandwidth_bps);
-  std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-  std::string key = doc_key;
-  BlobRef want = blob;
-  rpc_.track<BlobRef>(
-      req_id, opts,
-      [this, req_id, cb = std::move(cb)](Result<BlobRef> r, SimTime t) {
-        rpc_target_.erase(req_id);
-        cb(std::move(r), t);
-      },
-      [this, req_id, holder, key, want](std::uint32_t) {
-        return send_blob_req(req_id, holder, key, want);
-      });
-  Status s = send_blob_req(req_id, holder, doc_key, blob);
-  if (!s.is_ok()) {
-    rpc_.cancel(req_id);
-    rpc_target_.erase(req_id);
-    return s;
-  }
-  return Status::ok();
-}
-
-void StationNode::on_blob_req(const net::Message& msg) {
-  auto req = BlobReq::decode(msg.payload);
-  if (!req) return;
-  ++stats_.blob_serves;
-  DistMetrics::get().blob_serves.inc();
-  BlobRsp rsp;
-  rsp.req_id = req.value().req_id;
-  rsp.blob.digest = req.value().digest;
-  rsp.blob.size = req.value().size;
-  rsp.blob.type = req.value().type;
-  net::Message out;
-  out.from = self_;
-  out.to = msg.from;
-  out.type = kBlobRsp;
-  out.payload = rsp.encode();
-  out.wire_size = req.value().size;  // payload bytes charged on the wire
-  (void)fabric_->send(std::move(out));
-}
-
-void StationNode::on_blob_rsp(const net::Message& msg) {
-  auto rsp = BlobRsp::decode(msg.payload);
-  if (!rsp) return;
-  const BlobRsp& r = rsp.value();
-  if (!rpc_.in_flight(r.req_id)) {
-    // A retried request's extra response: counted and ignored.
-    rpc_.note_duplicate();
-    return;
-  }
-  // The payload now lives locally (ephemeral buffer: zero refs, reclaimable
-  // by gc until a document instance claims it).
-  auto id = store_->blobs().put_synthetic(r.blob.digest, r.blob.size, r.blob.type);
-  if (id) {
-    (void)store_->blobs().release(id.value());
-  }
-  (void)rpc_.complete<BlobRef>(r.req_id, r.blob);
+  // A chunk pull pinned to the holder: an interrupted fetch resumes from the
+  // bitmap instead of restarting the whole transfer.
+  BlobPull pull;
+  pull.doc_key = doc_key;
+  pull.blob = blob;
+  pull.holder = holder;
+  pull.home = holder;
+  pull.base = options.value_or(config_.rpc);
+  pull.done = [cb = std::move(cb), blob](Status s, SimTime t) {
+    if (s.is_ok()) {
+      cb(blob, t);
+    } else {
+      cb(Result<BlobRef>(s.error()), t);
+    }
+  };
+  return pull_blob_chunks(std::move(pull));
 }
 
 std::uint64_t StationNode::end_lecture() {
@@ -2044,7 +1824,6 @@ obs::Snapshot StationNode::local_snapshot() const {
     snap.samples.push_back(std::move(s));
   };
   const net::RpcStats rpc = rpc_.stats();
-  counter("station.blob_serves", stats_.blob_serves);
   counter("station.chunk_duplicate_rx", stats_.chunk_duplicate_rx);
   counter("station.chunk_duplicates", stats_.chunk_duplicates);
   counter("station.chunk_rejects", stats_.chunk_rejects);
@@ -2077,7 +1856,7 @@ obs::Snapshot StationNode::local_snapshot() const {
   return snap;
 }
 
-Status StationNode::scrape_tree_rpc(SnapshotCallback cb) {
+Status StationNode::scrape_tree(SnapshotCallback cb) {
   std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
   return start_scrape(req_id, std::nullopt, std::move(cb));
 }

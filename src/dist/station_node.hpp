@@ -12,7 +12,13 @@
 //   * post-lecture migration: ephemeral instances demote to references,
 //     releasing BLOB references ("duplicated document instances migrate to
 //     document references");
-//   * blob-level fetches for on-demand streaming (experiment E3).
+//   * blob-level fetches for on-demand streaming (experiment E3), always a
+//     chunk pull from the holder — a blob no larger than one chunk is a
+//     one-chunk pull, and a holder without the blob serves nothing.
+//
+// One path per job: the pipelined tree and the swarm share the push start
+// and begin-accept paths (stripe trees = 0 selects the pipelined tree), and
+// every chunk on the wire, pushed or pulled, is built by one helper.
 //
 // Every remote operation runs through the unified rpc lifecycle layer
 // (net/rpc.hpp): per-request deadlines, capped exponential backoff with
@@ -33,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <type_traits>
 #include <vector>
 
 #include "dist/mtree.hpp"
@@ -95,10 +100,6 @@ struct StationConfig {
   [[nodiscard]] Status validate() const;
 };
 
-// Deprecated alias (kept one release): the old name before the rpc knobs
-// were merged in. Remove once callers migrate.
-using NodeConfig = StationConfig;
-
 struct NodeStats {
   std::uint64_t pushes_received = 0;
   std::uint64_t pushes_forwarded = 0;
@@ -109,7 +110,6 @@ struct NodeStats {
   std::uint64_t forwards_up = 0;      // pull requests forwarded to parent
   std::uint64_t replications = 0;     // watermark-triggered materializations
   std::uint64_t demotions = 0;        // instances migrated back to references
-  std::uint64_t blob_serves = 0;
   std::uint64_t failed_fetches = 0;
   std::uint64_t failovers = 0;        // peers this node declared dead
   std::uint64_t resurrections = 0;    // declared-dead peers heard from again
@@ -139,13 +139,6 @@ class StationNode {
   using FetchCallback = net::Rpc<DocManifest>;
   using BlobFetchCallback = net::Rpc<BlobRef>;
   using SnapshotCallback = net::Rpc<obs::Snapshot>;
-
-  // Deprecated legacy shapes (kept one release): fetch_blob and scrape_tree
-  // accept these via their template entry points and adapt. BlobCallback
-  // loses the distinction between payload variants (it only sees Status);
-  // ScrapeCallback receives an empty snapshot on terminal failure.
-  using BlobCallback = std::function<void(Status, SimTime)>;
-  using ScrapeCallback = std::function<void(obs::Snapshot, SimTime)>;
 
   StationNode(net::Fabric& fabric, StationId self, ObjectStore& store,
               StationConfig config = {});
@@ -207,31 +200,15 @@ class StationNode {
   [[nodiscard]] Status fetch(const std::string& doc_key, FetchCallback cb,
                              std::optional<net::RpcOptions> options = std::nullopt);
 
-  // Fetches one BLOB's payload from `holder` (charged at blob size). On
-  // completion the payload is registered in the local BlobStore, so a
-  // repeat fetch of the same content completes locally without network
-  // traffic. Accepts the canonical Rpc<BlobRef> shape or the deprecated
-  // (Status, SimTime) shape.
-  template <typename Cb>
+  // Fetches one BLOB's payload from `holder` as a chunk pull pinned to it
+  // (charged at blob size; a blob no larger than one chunk is a one-chunk
+  // pull). On completion the payload is registered in the local BlobStore,
+  // so a repeat fetch of the same content completes locally without network
+  // traffic. A holder without the blob serves no chunk, and the fetch fails
+  // with Errc::unavailable.
   [[nodiscard]] Status fetch_blob(StationId holder, const std::string& doc_key,
-                                  const BlobRef& blob, Cb&& cb,
-                                  std::optional<net::RpcOptions> options = std::nullopt) {
-    if constexpr (std::is_invocable_v<Cb&, Result<BlobRef>, SimTime>) {
-      return fetch_blob_rpc(holder, doc_key, blob,
-                            BlobFetchCallback(std::forward<Cb>(cb)), options);
-    } else {
-      BlobCallback legacy(std::forward<Cb>(cb));
-      return fetch_blob_rpc(
-          holder, doc_key, blob,
-          [legacy = std::move(legacy)](Result<BlobRef> r, SimTime t) {
-            legacy(r.status(), t);
-          },
-          options);
-    }
-  }
-  [[nodiscard]] Status fetch_blob_rpc(StationId holder, const std::string& doc_key,
-                                      const BlobRef& blob, BlobFetchCallback cb,
-                                      std::optional<net::RpcOptions> options = std::nullopt);
+                                  const BlobRef& blob, BlobFetchCallback cb,
+                                  std::optional<net::RpcOptions> options = std::nullopt);
 
   // Chunk-granularity anti-entropy: ensures a local reference, then pulls
   // only the chunks of the manifest's blobs this station is missing (up the
@@ -259,22 +236,8 @@ class StationNode {
   // fires once here with the subtree-wide merge. Called on the tree root
   // (directly or via AdminNode::scrape_cluster) this yields the whole
   // cluster in one snapshot. A merge waiting on a dead subtree completes
-  // partially after a height-scaled deadline instead of hanging. Accepts
-  // the canonical Rpc<obs::Snapshot> shape or the deprecated
-  // (obs::Snapshot, SimTime) shape.
-  template <typename Cb>
-  [[nodiscard]] Status scrape_tree(Cb&& cb) {
-    if constexpr (std::is_invocable_v<Cb&, Result<obs::Snapshot>, SimTime>) {
-      return scrape_tree_rpc(SnapshotCallback(std::forward<Cb>(cb)));
-    } else {
-      ScrapeCallback legacy(std::forward<Cb>(cb));
-      return scrape_tree_rpc(
-          [legacy = std::move(legacy)](Result<obs::Snapshot> r, SimTime t) {
-            legacy(r.is_ok() ? std::move(r).value() : obs::Snapshot{}, t);
-          });
-    }
-  }
-  [[nodiscard]] Status scrape_tree_rpc(SnapshotCallback cb);
+  // partially after a height-scaled deadline instead of hanging.
+  [[nodiscard]] Status scrape_tree(SnapshotCallback cb);
 
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
@@ -301,8 +264,6 @@ class StationNode {
   static constexpr const char* kFetchReq = "dist.fetch_req";
   static constexpr const char* kFetchRsp = "dist.fetch_rsp";
   static constexpr const char* kFetchErr = "dist.fetch_err";
-  static constexpr const char* kBlobReq = "dist.blob_req";
-  static constexpr const char* kBlobRsp = "dist.blob_rsp";
   static constexpr const char* kChunkBegin = net::kChunkBegin;
   static constexpr const char* kChunkData = net::kChunkData;
   static constexpr const char* kChunkAck = net::kChunkAck;
@@ -319,9 +280,8 @@ class StationNode {
   void on_fetch_req(const net::Message& msg);
   void on_fetch_rsp(const net::Message& msg);
   void on_fetch_err(const net::Message& msg);
-  void on_blob_req(const net::Message& msg);
-  void on_blob_rsp(const net::Message& msg);
-  void on_chunk_begin(const net::Message& msg);
+  // ChunkBegin or SwarmBegin: opens this hop of a push transfer.
+  void on_begin(const net::Message& msg);
   void on_chunk_data(const net::Message& msg);
   void on_chunk_ack(const net::Message& msg);
   void on_chunk_req(const net::Message& msg);
@@ -332,8 +292,6 @@ class StationNode {
   // One (re)send of an in-flight pull: recomputes the route each attempt,
   // so retries travel the repaired chain after a reparent.
   [[nodiscard]] Status send_fetch_req(std::uint64_t req_id, const std::string& doc_key);
-  [[nodiscard]] Status send_blob_req(std::uint64_t req_id, StationId holder,
-                                     const std::string& doc_key, const BlobRef& blob);
   [[nodiscard]] Status send_push(StationId to, const DocManifest& manifest,
                                  obs::TraceContext trace = {});
 
@@ -379,10 +337,10 @@ class StationNode {
     // at every hop below it (together with the head-sample verdict).
     std::uint64_t trace_id = 0;
     bool trace_sampled = false;
-    // Swarm mode (DESIGN.md §4f):
-    bool swarm = false;
+    // Swarm mode (DESIGN.md §4f); 0 stripe trees is the pipelined tree.
+    std::uint32_t stripe_trees = 0;
+    [[nodiscard]] bool swarm() const { return stripe_trees != 0; }
     bool gossip_done = false;     // gossip loop finished; transfer may retire
-    std::uint32_t stripe_trees = 1;
     // Global chunk index base per blob ordinal (size blobs+1): chunk g of
     // the transfer is blob upper_bound(g)-1, index g - prefix[ordinal].
     std::vector<std::uint32_t> chunk_prefix;
@@ -419,7 +377,23 @@ class StationNode {
     bool pacing = false;
   };
 
-  [[nodiscard]] Status start_chunked_push(const DocManifest& manifest);
+  // A transfer of `manifest` cut into chunk_bytes chunks, nothing opened.
+  [[nodiscard]] static Transfer new_transfer(const DocManifest& manifest,
+                                             std::uint32_t chunk_bytes);
+  // Root of a chunked push over `trees` stripe trees; 0 is the pipelined
+  // tree.
+  [[nodiscard]] Status start_push(const DocManifest& manifest, std::uint32_t trees);
+  // Registers the transfer and opens this hop of it: the pipelined tree's
+  // children (trees = 0) or the swarm state and stripe children. Delivers
+  // locally if every blob is already held.
+  void open_transfer(std::uint64_t transfer_id, Transfer t, std::uint32_t trees);
+  // The encoded begin of a transfer — a ChunkBegin, or a SwarmBegin in swarm
+  // mode — as one refcounted buffer for a whole fan-out.
+  [[nodiscard]] net::Payload begin_payload(std::uint64_t transfer_id,
+                                           const Transfer& t) const;
+  // Sends one begin to `to`, counted as a push (or a swarm begin).
+  [[nodiscard]] Status send_begin(const Transfer& t, StationId to,
+                                  const net::Payload& payload);
   // Forwards the transfer's begin to this node's tree children and creates
   // their cursors; enqueues every locally-held chunk (cut-through for the
   // rest happens as chunks verify in on_chunk_data).
@@ -434,12 +408,21 @@ class StationNode {
   [[nodiscard]] Status send_chunk(std::uint64_t transfer_id, const Transfer& t,
                                   StationId child, std::uint64_t key,
                                   std::uint64_t req_id, bool retransmit);
+  // Builds the ChunkData message carrying chunk `index` of `blob` (cut at
+  // chunk_bytes) to `to` and returns the chunk's length, or fails when the
+  // chunk is not held here. Pushed chunks carry their rpc and transfer ids;
+  // pull serves carry zeros (unacked, never relayed).
+  [[nodiscard]] Result<std::uint32_t> chunk_message(net::Message& out, StationId to,
+                                                    const BlobRef& blob,
+                                                    std::uint32_t index,
+                                                    std::uint32_t chunk_bytes,
+                                                    std::uint64_t req_id,
+                                                    std::uint64_t transfer_id);
   [[nodiscard]] bool transfer_blobs_complete(const Transfer& t) const;
   void deliver_transfer(std::uint64_t transfer_id);
   void maybe_retire_transfer(std::uint64_t transfer_id);
 
   // --- swarm mode (multi-source distribution, DESIGN.md §4f) ---------------
-  [[nodiscard]] Status start_swarm_push(const DocManifest& manifest);
   // Builds the transfer's swarm state: chunk prefix table, scheduler with
   // stripe parents and gossip neighbors, self bitmap seeded from the blob
   // store, and the first gossip tick.
@@ -447,11 +430,6 @@ class StationNode {
   // Sends SwarmBegin to every stripe-tree child and creates one cursor per
   // (child, tree); each cursor relays only its tree's chunks.
   void open_swarm_children(std::uint64_t transfer_id, Transfer& t);
-  // Re-announce a transfer to a child that has never gossiped back — its
-  // SwarmBegin may have been lost on every stripe tree (begins are
-  // idempotent, so over-sending is safe).
-  void resend_swarm_begin(std::uint64_t transfer_id, const Transfer& t,
-                          const ChildCursor& c);
   void enqueue_swarm_send(std::uint64_t transfer_id, Transfer& t, SwarmSend entry);
   void swarm_pace_tick(std::uint64_t transfer_id);
   [[nodiscard]] SimTime swarm_pace_interval(const Transfer& t) const;
@@ -459,7 +437,6 @@ class StationNode {
   // One gossip round: progress/idle bookkeeping, termination check, then
   // SwarmHave to every known peer and SwarmReq per scheduler plan.
   void on_swarm_tick(std::uint64_t transfer_id);
-  void on_swarm_begin(const net::Message& msg);
   void on_swarm_have(const net::Message& msg);
   void on_swarm_req(const net::Message& msg);
   // Maps a sender-claimed position to its station id, validating it against

@@ -24,26 +24,27 @@ double station_sample(const obs::Snapshot& snap, const std::string& name,
 }
 
 constexpr const char* kCounters[] = {
-    "station.blob_serves",        "station.chunk_duplicates",
-    "station.chunk_rejects",      "station.chunk_repair_served",
-    "station.chunk_retransmits",  "station.chunks_received",
-    "station.chunks_sent",        "station.demotions",
-    "station.failed_fetches",     "station.failovers",
-    "station.fetches_local",      "station.fetches_remote",
-    "station.forwards_up",        "station.pushes_forwarded",
-    "station.pushes_received",    "station.relays",
-    "station.replications",       "station.resurrections",
-    "station.rpc_exhausted",      "station.rpc_retries",
-    "station.rpc_timeouts",       "station.serves",
+    "station.chunk_duplicates",   "station.chunk_rejects",
+    "station.chunk_repair_served", "station.chunk_retransmits",
+    "station.chunks_received",    "station.chunks_sent",
+    "station.demotions",          "station.failed_fetches",
+    "station.failovers",          "station.fetches_local",
+    "station.fetches_remote",     "station.forwards_up",
+    "station.pushes_forwarded",   "station.pushes_received",
+    "station.relays",             "station.replications",
+    "station.resurrections",      "station.rpc_exhausted",
+    "station.rpc_retries",        "station.rpc_timeouts",
+    "station.serves",
 };
 
-// Samples per station in local_snapshot(): the 22 counters above + 2 gauges.
-constexpr std::size_t kSamplesPerStation = 26;
+// Samples per station in local_snapshot(): the 21 counters above, the two
+// swarm receive counters (chunk_duplicate_rx, chunk_wasted_bytes) and two
+// gauges.
+constexpr std::size_t kSamplesPerStation = 25;
 
 std::uint64_t stat_by_name(const StationNode& node, std::string_view name) {
   const NodeStats& st = node.stats();
   const net::RpcStats rpc = node.rpc_stats();
-  if (name == "station.blob_serves") return st.blob_serves;
   if (name == "station.chunk_duplicates") return st.chunk_duplicates;
   if (name == "station.chunk_rejects") return st.chunk_rejects;
   if (name == "station.chunk_repair_served") return st.chunk_repair_served;
@@ -106,8 +107,9 @@ TEST(ScrapeTree, MergedSnapshotMatchesEveryStationsLocalCounters) {
   obs::Snapshot merged;
   bool done = false;
   ASSERT_TRUE(c.nodes[0]
-                  ->scrape_tree([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
+                    ASSERT_TRUE(r.is_ok());
+                    merged = std::move(r).value();
                     done = true;
                   })
                   .is_ok());
@@ -136,8 +138,9 @@ TEST(ScrapeTree, LeafScrapeReturnsOnlyItself) {
   obs::Snapshot merged;
   // Node 4 (position 5) is a leaf: its subtree is itself.
   ASSERT_TRUE(c.nodes[4]
-                  ->scrape_tree([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
+                    ASSERT_TRUE(r.is_ok());
+                    merged = std::move(r).value();
                   })
                   .is_ok());
   c.net.run();
@@ -152,8 +155,9 @@ TEST(ScrapeTree, SnapshotRendersWithExistingExporters) {
   c.push_lecture("http://mmu.edu/CS101/lecture1");
   obs::Snapshot merged;
   ASSERT_TRUE(c.nodes[0]
-                  ->scrape_tree([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
+                    ASSERT_TRUE(r.is_ok());
+                    merged = std::move(r).value();
                   })
                   .is_ok());
   c.net.run();
@@ -215,8 +219,9 @@ TEST_F(ScrapeClusterFixture, MergesThirteenStationTree) {
   obs::Snapshot merged;
   bool done = false;
   ASSERT_TRUE(admin_
-                  ->scrape_cluster([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_cluster([&](Result<obs::Snapshot> r, SimTime) {
+                    ASSERT_TRUE(r.is_ok());
+                    merged = std::move(r).value();
                     done = true;
                   })
                   .is_ok());
@@ -241,8 +246,9 @@ TEST_F(ScrapeClusterFixture, EmptyClusterCompletesImmediately) {
   bool done = false;
   obs::Snapshot merged;
   ASSERT_TRUE(admin_
-                  ->scrape_cluster([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_cluster([&](Result<obs::Snapshot> r, SimTime) {
+                    ASSERT_TRUE(r.is_ok());
+                    merged = std::move(r).value();
                     done = true;
                   })
                   .is_ok());
@@ -255,7 +261,10 @@ TEST_F(ScrapeClusterFixture, BackToBackScrapesUseDistinctRequestIds) {
   join_members(5);
   int fired = 0;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(admin_->scrape_cluster([&](obs::Snapshot, SimTime) { ++fired; })
+    ASSERT_TRUE(admin_->scrape_cluster([&](Result<obs::Snapshot> r, SimTime) {
+      EXPECT_TRUE(r.is_ok());
+      ++fired;
+    })
                     .is_ok());
     net_.run();
   }

@@ -25,7 +25,7 @@ DocManifest lecture_manifest(StationId home) {
 // A cluster of N stations on one simulator, wired into an m-ary tree.
 class Cluster {
  public:
-  Cluster(std::size_t n, std::uint64_t m, NodeConfig config = {}) : net_(42) {
+  Cluster(std::size_t n, std::uint64_t m, StationConfig config = {}) : net_(42) {
     for (std::size_t i = 0; i < n; ++i) {
       StationId id = net_.add_station();
       ids_.push_back(id);
@@ -134,7 +134,7 @@ TEST(StationNode, FetchPullsUpParentChain) {
 }
 
 TEST(StationNode, RelayCacheRetainsAtIntermediates) {
-  NodeConfig config;
+  StationConfig config;
   config.relay_cache = true;
   config.watermark = 1000;  // disable requester replication
   Cluster c(13, 3, config);
@@ -147,7 +147,7 @@ TEST(StationNode, RelayCacheRetainsAtIntermediates) {
 }
 
 TEST(StationNode, WatermarkTriggersReplication) {
-  NodeConfig config;
+  StationConfig config;
   config.watermark = 3;
   Cluster c(4, 3, config);
   auto manifest = lecture_manifest(c.id(0));
@@ -258,8 +258,8 @@ TEST(StationNode, BlobFetchChargesBlobSize) {
   SimTime arrival;
   ASSERT_TRUE(c.node(1)
                   .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime t) {
-                                ASSERT_TRUE(s.is_ok());
+                              [&](Result<BlobRef> r, SimTime t) {
+                                ASSERT_TRUE(r.is_ok());
                                 done = true;
                                 arrival = t;
                               })
@@ -276,24 +276,50 @@ TEST(StationNode, BlobFetchChargesBlobSize) {
   EXPECT_GE(c.net().stats(c.id(0)).bytes_sent, manifest.blobs[0].size);
 }
 
-TEST(StationNode, BlobFetchLegacyPathChargesBlobSize) {
-  StationConfig cfg;
-  cfg.chunk.enabled = false;
-  Cluster c(2, 2, cfg);
-  auto manifest = lecture_manifest(c.id(0));
-  ASSERT_TRUE(c.store(0).put_instance(manifest, false).is_ok());
-  bool done = false;
+// A blob no larger than one chunk is fetched as a one-chunk pull, whether
+// or not pushes are chunked.
+TEST(StationNode, SmallBlobFetchIsOneChunkPull) {
+  for (bool chunked : {true, false}) {
+    StationConfig cfg;
+    cfg.chunk.enabled = chunked;
+    Cluster c(2, 2, cfg);
+    auto manifest = lecture_manifest(c.id(0));
+    manifest.blobs[0].size = 10 << 10;
+    ASSERT_TRUE(c.store(0).put_instance(manifest, false).is_ok());
+    bool done = false;
+    ASSERT_TRUE(c.node(1)
+                    .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
+                                [&](Result<BlobRef> r, SimTime) {
+                                  ASSERT_TRUE(r.is_ok());
+                                  done = true;
+                                })
+                    .is_ok());
+    c.net().run();
+    EXPECT_TRUE(done) << "chunked=" << chunked;
+    EXPECT_EQ(c.node(0).stats().chunk_repair_served, 1u) << "chunked=" << chunked;
+    EXPECT_GE(c.net().stats(c.id(0)).bytes_sent, manifest.blobs[0].size)
+        << "chunked=" << chunked;
+    EXPECT_TRUE(c.store(1).blobs().find(manifest.blobs[0].digest).has_value());
+  }
+}
+
+// A station that does not hold the blob serves none of its chunks, so a
+// fetch pinned to it fails instead of completing with fabricated data.
+TEST(StationNode, BlobFetchFromNonHolderFails) {
+  Cluster c(2, 2);
+  BlobRef slides;
+  slides.digest = digest128("cs101 slide deck");
+  slides.size = 10 << 10;  // below one chunk
+  slides.type = blob::MediaType::image;
+  std::optional<Result<BlobRef>> result;
   ASSERT_TRUE(c.node(1)
-                  .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime) {
-                                ASSERT_TRUE(s.is_ok());
-                                done = true;
-                              })
+                  .fetch_blob(c.id(0), "http://mmu.edu/cs101/index.html", slides,
+                              [&](Result<BlobRef> r, SimTime) { result = std::move(r); })
                   .is_ok());
   c.net().run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(c.node(0).stats().blob_serves, 1u);
-  EXPECT_GE(c.net().stats(c.id(0)).bytes_sent, manifest.blobs[0].size);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), Errc::unavailable);
+  EXPECT_FALSE(c.store(1).blobs().find(slides.digest).has_value());
 }
 
 TEST(StationNode, ReferenceAnnouncementReachesEveryStation) {
@@ -351,8 +377,8 @@ TEST(StationNode, RepeatBlobFetchIsLocal) {
   int completions = 0;
   ASSERT_TRUE(c.node(1)
                   .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime) {
-                                ASSERT_TRUE(s.is_ok());
+                              [&](Result<BlobRef> r, SimTime) {
+                                ASSERT_TRUE(r.is_ok());
                                 ++completions;
                               })
                   .is_ok());
@@ -364,8 +390,8 @@ TEST(StationNode, RepeatBlobFetchIsLocal) {
   // synchronously, with zero new wire traffic.
   ASSERT_TRUE(c.node(1)
                   .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime) {
-                                ASSERT_TRUE(s.is_ok());
+                              [&](Result<BlobRef> r, SimTime) {
+                                ASSERT_TRUE(r.is_ok());
                                 ++completions;
                               })
                   .is_ok());
