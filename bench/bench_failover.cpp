@@ -128,6 +128,6 @@ int main(int argc, char** argv) {
               "loss adds retries but the lifecycle layer still converges; a\n"
               "crashed interior station costs its orphans %u attempt-timeouts\n"
               "before they reparent to the grandparent and pull around it.\n",
-              dist::StationConfig{}.failover_threshold);
+              dist::kFailoverThreshold);
   return 0;
 }

@@ -29,7 +29,6 @@ struct DistMetrics {
   obs::Counter& scrape_partials;
   obs::Counter& chunk_sent;
   obs::Counter& chunk_bytes;
-  obs::Counter& chunk_duplicates;
   obs::Counter& chunk_rejects;
   obs::Counter& chunk_retransmits;
   obs::Counter& chunk_orphans;
@@ -55,8 +54,8 @@ struct DistMetrics {
           reg.counter("dist.failovers"),      reg.counter("dist.resurrections"),
           reg.counter("dist.scrape_partials"),
           reg.counter("dist.chunk.sent"),     reg.counter("dist.chunk.bytes_sent"),
-          reg.counter("dist.chunk.duplicates"), reg.counter("dist.chunk.rejects"),
-          reg.counter("dist.chunk.retransmits"), reg.counter("dist.chunk.orphaned"),
+          reg.counter("dist.chunk.rejects"),  reg.counter("dist.chunk.retransmits"),
+          reg.counter("dist.chunk.orphaned"),
           reg.counter("dist.chunk.repair_reqs"), reg.counter("dist.chunk.repair_served"),
           reg.counter("dist.chunk.duplicate_rx"), reg.counter("dist.chunk.wasted_bytes"),
           reg.counter("swarm.begins"),        reg.counter("swarm.haves"),
@@ -228,9 +227,6 @@ Status StationConfig::validate() const {
   if (swarm.enabled && !chunk.enabled) {
     return {Errc::invalid_argument, "swarm mode requires chunked transfers"};
   }
-  if (failover_threshold == 0) {
-    return {Errc::invalid_argument, "failover_threshold must be >= 1"};
-  }
   if (min_bandwidth_bps <= 0.0) {
     return {Errc::invalid_argument, "min_bandwidth_bps must be > 0"};
   }
@@ -243,7 +239,7 @@ StationNode::StationNode(net::Fabric& fabric, StationId self, ObjectStore& store
       self_(self),
       store_(&store),
       config_(config),
-      rpc_(fabric, self, config.rpc_seed) {
+      rpc_(fabric, self, kRpcSeed) {
   Status valid = config_.validate();
   WDOC_CHECK(valid.is_ok(), "StationConfig: " + valid.message());
   rpc_.set_timeout_observer([this](std::uint64_t req_id, std::uint32_t) {
@@ -298,7 +294,7 @@ std::optional<StationId> StationNode::live_parent_station() const {
 void StationNode::note_attempt_timeout(StationId target) {
   if (dead_.contains(target)) return;
   std::uint32_t n = ++suspect_[target];
-  if (n >= config_.failover_threshold) declare_dead(target);
+  if (n >= kFailoverThreshold) declare_dead(target);
 }
 
 void StationNode::declare_dead(StationId target) {
@@ -309,7 +305,7 @@ void StationNode::declare_dead(StationId target) {
   obs::FlightRecorder::global().record(
       obs::FlightKind::failover,
       "station " + std::to_string(target.value()) + " declared dead after " +
-          std::to_string(config_.failover_threshold) + " consecutive timeouts",
+          std::to_string(kFailoverThreshold) + " consecutive timeouts",
       self_.value(), target.value(), fabric_->now());
   if (parent_station() == target) {
     // Orphaned: announce the reparent route that live_parent_station()
@@ -534,7 +530,6 @@ void StationNode::enqueue_held_chunks(Transfer& t, ChildCursor& cursor) {
         const std::uint32_t g = t.chunk_prefix[ordinal] + i;
         if (swarm::stripe_of(g, t.stripe_trees) != cursor.tree) continue;
         if (t.sched && cursor.child_pos != 0 && t.sched->peer_has(cursor.child_pos, g)) {
-          ++stats_.swarm_relay_suppressed;
           DistMetrics::get().swarm_suppressed.inc();
           continue;
         }
@@ -754,11 +749,9 @@ void StationNode::on_chunk_data(const net::Message& msg) {
   if (duplicate) {
     // The wire bytes were spent either way — account the waste (swarm mode
     // is where overlapping sources make this reachable at scale).
-    ++stats_.chunk_duplicates;
     ++stats_.chunk_duplicate_rx;
     stats_.chunk_wasted_bytes += d.chunk_len;
     auto& dm = DistMetrics::get();
-    dm.chunk_duplicates.inc();
     dm.chunk_duplicate_rx.inc();
     dm.chunk_wasted_bytes.inc(d.chunk_len);
   } else {
@@ -791,7 +784,6 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     for (ChildCursor& c : t.children) {
       if (c.tree != tree) continue;
       if (t.sched && c.child_pos != 0 && t.sched->peer_covered(c.child_pos, g)) {
-        ++stats_.swarm_relay_suppressed;
         DistMetrics::get().swarm_suppressed.inc();
         continue;
       }
@@ -866,8 +858,6 @@ void StationNode::on_chunk_rsp(const net::Message& msg) {
 // --- swarm mode (multi-source distribution, DESIGN.md §4f) -------------------
 
 void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees) {
-  swarm::SwarmConfig cfg = config_.swarm;
-  cfg.trees = trees;
   t.stripe_trees = trees;
   t.chunk_prefix.assign(1, 0);
   for (const BlobRef& b : t.manifest.blobs) {
@@ -880,7 +870,7 @@ void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32
   // pulls differently); the neighbor seed is the transfer id, which every
   // station knows, so both ends of a tree link derive the same sets.
   t.sched = std::make_unique<swarm::SwarmScheduler>(
-      total, cfg, hash_combine(self_.value(), transfer_id), fabric_->now());
+      total, trees, hash_combine(self_.value(), transfer_id), fabric_->now());
   t.acting_parent.assign(t.stripe_trees, 0);
   t.acting_since.assign(t.stripe_trees, fabric_->now());
   for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
@@ -889,7 +879,7 @@ void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32
     t.acting_parent[tree] = p.value_or(0);
   }
   for (std::uint64_t nb : swarm::gossip_neighbors(position_, m_, n, t.stripe_trees,
-                                                  config_.swarm.extra_peers, transfer_id)) {
+                                                  swarm::kExtraPeers, transfer_id)) {
     t.sched->add_peer(nb);
   }
   // Seed our own bitmap from whatever the blob store already holds
@@ -968,12 +958,11 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
   // hole and is recovered by the rarest-first pull path instead.
   bool sent = false;
   while (!sent && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) {
-    // Relays before serves, but after serve_stride consecutive relays one
+    // Relays before serves, but after kServeStride consecutive relays one
     // serve cuts in (see the queue comment in the header).
     const bool serve_turn =
         !t.swarm_serve_queue.empty() &&
-        (t.swarm_queue.empty() ||
-         t.relays_since_serve >= config_.swarm.serve_stride);
+        (t.swarm_queue.empty() || t.relays_since_serve >= swarm::kServeStride);
     std::deque<SwarmSend>& q =
         serve_turn ? t.swarm_serve_queue : t.swarm_queue;
     const SwarmSend entry = q.front();
@@ -992,7 +981,6 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
       if (ordinal + 1 < t.chunk_prefix.size() && covered) {
         // The receiver reported the chunk (or a request for it) after this
         // send was queued — drop it, count it.
-        ++stats_.swarm_relay_suppressed;
         DistMetrics::get().swarm_suppressed.inc();
         continue;
       }
@@ -1030,7 +1018,7 @@ void StationNode::schedule_swarm_tick(std::uint64_t transfer_id) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
   it->second.gossip_timer =
-      fabric_->schedule_on(self_, config_.swarm.gossip_interval,
+      fabric_->schedule_on(self_, swarm::kGossipInterval,
                            [this, transfer_id] { on_swarm_tick(transfer_id); });
 }
 
@@ -1042,7 +1030,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   if (!fabric_->is_online(self_)) {
     // Crashed mid-transfer: the swarm is done with us. If we restart later
     // the blob-level pull/repair path catches us up; keeping the gossip
-    // timer alive would run the simulation clock out to max_rounds.
+    // timer alive would run the simulation clock out to kMaxRounds.
     t.gossip_done = true;
     maybe_retire_transfer(transfer_id);
     return;
@@ -1052,7 +1040,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   const std::uint64_t n = tree_order().size();
   const std::uint32_t total = static_cast<std::uint32_t>(t.total_chunks);
   // Stripe-ancestor adoption: while the closest expected ancestor of a
-  // stripe tree stays gossip-silent past stall_timeout, walk one level up
+  // stripe tree stays gossip-silent past kStallTimeout, walk one level up
   // and start gossiping with that ancestor too (one level per walk — each
   // adopted ancestor gets a full timeout to answer before we pass it).
   // Only the head of an orphaned subtree walks; its descendants keep
@@ -1062,7 +1050,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     if (ap == 0 || t.sched->complete()) continue;
     const SimTime heard = t.sched->peer_heard_at(ap);
     const SimTime ref = heard > t.acting_since[tree] ? heard : t.acting_since[tree];
-    if (now - ref <= config_.swarm.stall_timeout) continue;
+    if (now - ref <= swarm::kStallTimeout) continue;
     auto up = swarm::stripe_parent(ap, tree, t.stripe_trees, m_, n);
     t.acting_parent[tree] = up.value_or(0);
     t.acting_since[tree] = now;
@@ -1089,7 +1077,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   }
   // Advertised backlog approximates a new request's serve latency in
   // chunk-times, not raw queue length: while the uplink is relay-busy a
-  // queued serve waits serve_stride relay slots per position, so each one
+  // queued serve waits kServeStride relay slots per position, so each one
   // costs (stride + 1) chunk-times. A raw count makes a stride-throttled
   // interior server look as cheap as an idle leaf, and every requester
   // herds onto it.
@@ -1100,7 +1088,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   // until its own bitmap completes.
   const bool relay_busy = !t.children.empty() && !t.sched->complete();
   const std::size_t serve_cost =
-      relay_busy ? std::min<std::size_t>(config_.swarm.serve_stride, 3) + 1 : 1;
+      relay_busy ? std::min<std::size_t>(swarm::kServeStride, 3) + 1 : 1;
   // The relay-busy base term prices the latency a FIRST serve would see
   // even with an empty queue: cut-through keeps a busy relay's queue near
   // zero between arrivals, and without the base term such a station
@@ -1114,7 +1102,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   // Gossip goes out BEFORE the termination check below: the round on which
   // a station terminates is the round its neighbors learn it is complete,
   // otherwise their view of us freezes one chunk short and they gossip
-  // until max_rounds waiting for it.
+  // until kMaxRounds waiting for it.
   net::SwarmHave have;
   have.transfer_id = transfer_id;
   have.position = position_;
@@ -1158,14 +1146,13 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     out.payload = req.encode();
     if (fabric_->send(std::move(out)).is_ok()) {
       ++stats_.swarm_reqs_sent;
-      stats_.swarm_chunks_requested += plan.chunks.size();
       dm.swarm_reqs.inc();
       dm.swarm_req_chunks.inc(plan.chunks.size());
     }
   }
   // Termination: stop once we are complete and, as far as gossip shows,
   // every neighbor is too — or nothing has changed and no needy neighbor
-  // has been heard for idle_rounds (a crashed neighbor's bitmap freezes
+  // has been heard for kIdleRounds (a crashed neighbor's bitmap freezes
   // forever; waiting on it would keep the whole cluster's timers alive).
   const std::uint64_t sum = t.sched->state_sum();
   const bool self_done = t.delivered && t.sched->complete();
@@ -1173,9 +1160,9 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   t.idle_rounds = (self_done && quiet) ? t.idle_rounds + 1 : 0;
   t.last_state_sum = sum;
   t.gossip_heard = false;
-  if (t.gossip_rounds >= config_.swarm.max_rounds ||
+  if (t.gossip_rounds >= swarm::kMaxRounds ||
       (self_done &&
-       (t.sched->peers_complete() || t.idle_rounds >= config_.swarm.idle_rounds))) {
+       (t.sched->peers_complete() || t.idle_rounds >= swarm::kIdleRounds))) {
     t.gossip_done = true;
     maybe_retire_transfer(transfer_id);
     return;
@@ -1211,7 +1198,7 @@ void StationNode::on_swarm_have(const net::Message& msg) {
   // Only an *incomplete* neighbor holds this transfer open — it may still
   // need our serves. Completed neighbors echoing their full bitmaps must
   // not reset the idle countdown, or the cluster keep-alives itself to
-  // max_rounds after everyone is done.
+  // kMaxRounds after everyone is done.
   if (!t.sched->peer_complete(h.position)) t.gossip_heard = true;
 }
 
@@ -1239,7 +1226,7 @@ void StationNode::on_swarm_req(const net::Message& msg) {
   t.sched->peer_update(q.position, report);
   std::uint32_t queued = 0;
   for (std::uint32_t g : q.indices) {
-    if (queued >= config_.swarm.request_batch) break;  // hostile-length guard
+    if (queued >= swarm::kRequestBatch) break;  // hostile-length guard
     // g -> (ordinal, index) through the prefix table; zero-chunk blobs make
     // prefix values repeat, so take the last blob whose base covers g.
     auto ub = std::upper_bound(t.chunk_prefix.begin(), t.chunk_prefix.end(), g);
@@ -1825,7 +1812,6 @@ obs::Snapshot StationNode::local_snapshot() const {
   };
   const net::RpcStats rpc = rpc_.stats();
   counter("station.chunk_duplicate_rx", stats_.chunk_duplicate_rx);
-  counter("station.chunk_duplicates", stats_.chunk_duplicates);
   counter("station.chunk_rejects", stats_.chunk_rejects);
   counter("station.chunk_repair_served", stats_.chunk_repair_served);
   counter("station.chunk_retransmits", stats_.chunk_retransmits);

@@ -24,7 +24,7 @@
 // (net/rpc.hpp): per-request deadlines, capped exponential backoff with
 // seeded jitter, and terminal error delivery — no callback is ever silently
 // dropped. Consecutive attempt timeouts against one peer feed a failure
-// detector: after StationConfig::failover_threshold of them the peer is
+// detector: after kFailoverThreshold of them the peer is
 // declared dead, and routing falls back to the nearest live ancestor — the
 // paper's placement equation ⌊(k−i−1)/m⌋+1 applied repeatedly (see
 // grandparent_position in mtree.hpp). Any message later received from a
@@ -68,6 +68,12 @@ struct ChunkConfig {
   [[nodiscard]] Status validate() const;
 };
 
+// Consecutive attempt timeouts against one peer before it is declared
+// dead and routing reparents around it.
+inline constexpr std::uint32_t kFailoverThreshold = 3;
+// Seed for the rpc tracker's deterministic backoff jitter.
+inline constexpr std::uint64_t kRpcSeed = 0x77d0c;
+
 // All of a station's protocol knobs in one validated place: replication
 // behavior plus the rpc lifecycle every remote operation runs under.
 struct StationConfig {
@@ -82,15 +88,10 @@ struct StationConfig {
   // Deadline / retry / backoff defaults for every rpc this node issues;
   // individual calls may override via their RpcOptions parameter.
   net::RpcOptions rpc;
-  // Consecutive attempt timeouts against one peer before it is declared
-  // dead and routing reparents around it.
-  std::uint32_t failover_threshold = 3;
   // Floor on the assumed transfer rate when scaling a blob fetch's deadline
   // by payload size (a 25 MB blob legitimately serializes for ~40 s on a
   // 10 Mb/s campus link; a flat deadline would retransmit mid-transfer).
   double min_bandwidth_bps = 1e6;
-  // Seed for the rpc tracker's deterministic backoff jitter.
-  std::uint64_t rpc_seed = 0x77d0c;
   // Chunked transfer knobs (push pipelining, windowing, chunk repair).
   ChunkConfig chunk;
   // Multi-source swarm distribution (stripe trees + bitmap gossip +
@@ -116,7 +117,6 @@ struct NodeStats {
   // Chunked transfer path:
   std::uint64_t chunks_sent = 0;         // data chunks sent (push + repair)
   std::uint64_t chunks_received = 0;     // chunks verified into partial assembly
-  std::uint64_t chunk_duplicates = 0;    // already-held chunks received again
   std::uint64_t chunk_rejects = 0;       // failed digest/bounds verification
   std::uint64_t chunk_retransmits = 0;   // rpc-retry resends of a pushed chunk
   std::uint64_t chunk_repair_served = 0; // chunks served to pull requests
@@ -127,9 +127,7 @@ struct NodeStats {
   // Swarm path:
   std::uint64_t swarm_haves_sent = 0;        // gossip bitmaps sent
   std::uint64_t swarm_reqs_sent = 0;         // rarest-first request messages
-  std::uint64_t swarm_chunks_requested = 0;  // chunk indices across those
   std::uint64_t swarm_chunks_served = 0;     // chunks served to swarm requests
-  std::uint64_t swarm_relay_suppressed = 0;  // relays skipped: child already has it
 };
 
 class StationNode {
@@ -246,7 +244,6 @@ class StationNode {
   [[nodiscard]] std::size_t pending_rpcs() const { return rpc_.pending(); }
   [[nodiscard]] StationId id() const { return self_; }
   [[nodiscard]] const StationConfig& config() const { return config_; }
-  void set_watermark(std::uint64_t w) { config_.watermark = w; }
 
   // Chunked transfers (push) still assembling here, including fully-received
   // ones whose children have unacked chunks in flight.
@@ -347,7 +344,7 @@ class StationNode {
     std::unique_ptr<swarm::SwarmScheduler> sched;
     // Stripe-ancestor adoption (the swarm analogue of tree failover): the
     // closest ancestor per stripe tree we currently expect gossip from.
-    // While it stays silent past stall_timeout we walk one level further
+    // While it stays silent past kStallTimeout we walk one level further
     // up and adopt that ancestor as a gossip peer — a shallow ancestor
     // sees the chunk frontier seconds before the orphaned subtree does,
     // and its uplink has the dead child's relay slots to spare.
@@ -367,9 +364,9 @@ class StationNode {
     // and small control traffic (begins, gossip) is never stuck behind
     // seconds of bulk data. Stripe relays (swarm_queue) take priority over
     // request serves (swarm_serve_queue) — a relay feeds a whole subtree —
-    // but after serve_stride consecutive relays one serve is interleaved,
+    // but after kServeStride consecutive relays one serve is interleaved,
     // so crash recovery drains steadily instead of waiting for the entire
-    // relay backlog (see SwarmConfig::serve_stride).
+    // relay backlog (see swarm::kServeStride).
     std::deque<SwarmSend> swarm_queue;
     std::deque<SwarmSend> swarm_serve_queue;
     std::uint32_t relays_since_serve = 0;

@@ -185,11 +185,20 @@ void ThreadTransport::shutdown() {
     timer.swap(timer_thread_);
   }
   if (timer.joinable()) timer.join();
-  std::lock_guard<std::mutex> g(mu_);
-  for (auto& [_, box] : stations_) {
+  std::vector<Mailbox*> boxes;
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    for (auto& [_, box] : stations_) boxes.push_back(box.get());
+  }
+  // Notify under each mailbox's mutex: a worker that has just read
+  // running_ == true in its wait predicate is then either asleep and gets
+  // the wakeup, or not yet checking and sees false. mu_ is not held while
+  // joining, because a handler still running may call send(), which takes it.
+  for (Mailbox* box : boxes) {
+    std::lock_guard<std::mutex> bg(box->mu);
     box->cv.notify_all();
   }
-  for (auto& [_, box] : stations_) {
+  for (Mailbox* box : boxes) {
     if (box->worker.joinable()) box->worker.join();
   }
 }

@@ -94,8 +94,7 @@ std::vector<RowId> Table::find_equal(std::string_view column, const Value& v) co
   WDOC_CHECK(ci.has_value(), name() + ": no column " + std::string(column));
   for (const ColumnIndex& idx : indexes_) {
     if (idx.column == *ci) {
-      if (idx.btree) return idx.btree->find(v);
-      if (idx.hash) return idx.hash->find(v);
+      return idx.btree->find(v);
     }
   }
   std::vector<RowId> out;
@@ -116,7 +115,7 @@ void Table::scan_range(std::string_view column, const Value* lo, const Value* hi
   auto ci = schema_.column_index(column);
   WDOC_CHECK(ci.has_value(), name() + ": no column " + std::string(column));
   for (const ColumnIndex& idx : indexes_) {
-    if (idx.column == *ci && idx.btree) {
+    if (idx.column == *ci) {
       idx.btree->scan_range(lo, hi, [&](const Value&, RowId rid) {
         const auto* row = get(rid);
         WDOC_CHECK(row != nullptr, "index points at dead row");
@@ -182,8 +181,7 @@ void Table::index_row(RowId id, const std::vector<Value>& row) {
   for (ColumnIndex& idx : indexes_) {
     const Value& v = row[idx.column];
     if (v.is_null()) continue;  // NULLs are not indexed (and never unique-conflict)
-    if (idx.btree) idx.btree->insert(v, id);
-    if (idx.hash) idx.hash->insert(v, id);
+    idx.btree->insert(v, id);
   }
 }
 
@@ -191,8 +189,7 @@ void Table::unindex_row(RowId id, const std::vector<Value>& row) {
   for (ColumnIndex& idx : indexes_) {
     const Value& v = row[idx.column];
     if (v.is_null()) continue;
-    if (idx.btree) idx.btree->erase(v, id);
-    if (idx.hash) idx.hash->erase(v, id);
+    idx.btree->erase(v, id);
   }
 }
 

@@ -14,7 +14,6 @@
 
 #include "common/ids.hpp"
 #include "storage/btree_index.hpp"
-#include "storage/hash_index.hpp"
 #include "storage/schema.hpp"
 
 namespace wdoc::storage {
@@ -90,8 +89,7 @@ class Table {
 
   struct ColumnIndex {
     std::size_t column = 0;
-    std::unique_ptr<BTreeIndex> btree;  // ordered; used when present
-    std::unique_ptr<HashIndex> hash;    // fallback for unique-only columns
+    std::unique_ptr<BTreeIndex> btree;
   };
   std::vector<ColumnIndex> indexes_;
 };

@@ -7,11 +7,11 @@
 // under these rules:
 //
 //   * stall gating — a chunk is only pulled when its stripe tree has made
-//     no progress for stall_timeout (or has no live push feed at all), so
+//     no progress for kStallTimeout (or has no live push feed at all), so
 //     a cleanly-flowing pipeline generates zero duplicate traffic. Pull
 //     mode LATCHES once tripped: pulled chunks land on the same progress
 //     clock that feeds the gate, so an unlatched gate would close behind
-//     every pulled batch and reopen a stall_timeout later. A tree whose
+//     every pulled batch and reopen a kStallTimeout later. A tree whose
 //     stripe parent gossips a recovering mask latches too (the orphan
 //     signal cascades down exactly the dead station's subtree), but in
 //     *claim partitioning* mode: the parent will relay everything it
@@ -25,15 +25,15 @@
 //   * rarest-first — candidates are ordered by how few peers hold them,
 //     ties broken by a seeded hash of the chunk index (never by arrival
 //     order, which would differ across runs of different topologies);
-//   * per-link windows — at most link_window outstanding requests per
-//     peer (and pull_window across all peers, protecting the downlink),
+//   * per-link windows — at most kLinkWindow outstanding requests per
+//     peer (and kPullWindow across all peers, protecting the downlink),
 //     the least-loaded eligible peer taking each chunk — never the chunk's
 //     own stripe parent, which would push it anyway. Load is the peer's
 //     last-gossiped send-queue backlog plus our own outstanding requests
 //     to it, so requests route to uplinks with spare capacity instead of
 //     piling reservations onto a relay-saturated server;
 //   * duplicate suppression — an in-flight chunk is never re-requested
-//     until its request_timeout deadline passes.
+//     until its kRequestTimeout deadline passes.
 //
 // Everything is deterministic: iteration is over ordered maps, time comes
 // from the caller (the fabric clock), randomness is seeded hashing.
@@ -68,7 +68,7 @@ struct PeerReport {
 
 class SwarmScheduler {
  public:
-  SwarmScheduler(std::uint32_t total_chunks, SwarmConfig cfg, std::uint64_t seed,
+  SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees, std::uint64_t seed,
                  SimTime now);
 
   // Topology: which position feeds each stripe tree (0 = no feed, e.g. at
@@ -114,7 +114,6 @@ class SwarmScheduler {
   [[nodiscard]] std::vector<SwarmPlan> plan(SimTime now);
 
   [[nodiscard]] std::size_t in_flight() const { return inflight_.size(); }
-  [[nodiscard]] std::uint64_t duplicates_suppressed() const { return suppressed_; }
 
   // Gossip exports: the in-flight request set as a bitmap (same geometry
   // as the have-bitmap), and the per-tree pull-mode mask restricted to
@@ -139,7 +138,7 @@ class SwarmScheduler {
   void clear_flight(std::map<std::uint32_t, Flight>::iterator it);
 
   std::uint32_t total_;
-  SwarmConfig cfg_;
+  std::uint32_t trees_;
   std::uint64_t seed_;
   Bitmap self_;
   std::map<std::uint64_t, Peer> peers_;
@@ -150,7 +149,6 @@ class SwarmScheduler {
   std::vector<std::uint8_t> orphaned_;        // per tree: pull mode, latched
   std::vector<std::uint32_t> tree_total_;     // chunks striped onto each tree
   std::vector<std::uint32_t> tree_have_;      // of those, how many we hold
-  std::uint64_t suppressed_ = 0;  // candidates skipped because already in flight
 };
 
 }  // namespace wdoc::swarm

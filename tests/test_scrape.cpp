@@ -24,7 +24,7 @@ double station_sample(const obs::Snapshot& snap, const std::string& name,
 }
 
 constexpr const char* kCounters[] = {
-    "station.chunk_duplicates",   "station.chunk_rejects",
+    "station.chunk_duplicate_rx", "station.chunk_rejects",
     "station.chunk_repair_served", "station.chunk_retransmits",
     "station.chunks_received",    "station.chunks_sent",
     "station.demotions",          "station.failed_fetches",
@@ -37,15 +37,14 @@ constexpr const char* kCounters[] = {
     "station.serves",
 };
 
-// Samples per station in local_snapshot(): the 21 counters above, the two
-// swarm receive counters (chunk_duplicate_rx, chunk_wasted_bytes) and two
-// gauges.
-constexpr std::size_t kSamplesPerStation = 25;
+// Samples per station in local_snapshot(): the 21 counters above, the
+// swarm waste counter (chunk_wasted_bytes) and two gauges.
+constexpr std::size_t kSamplesPerStation = 24;
 
 std::uint64_t stat_by_name(const StationNode& node, std::string_view name) {
   const NodeStats& st = node.stats();
   const net::RpcStats rpc = node.rpc_stats();
-  if (name == "station.chunk_duplicates") return st.chunk_duplicates;
+  if (name == "station.chunk_duplicate_rx") return st.chunk_duplicate_rx;
   if (name == "station.chunk_rejects") return st.chunk_rejects;
   if (name == "station.chunk_repair_served") return st.chunk_repair_served;
   if (name == "station.chunk_retransmits") return st.chunk_retransmits;

@@ -448,13 +448,25 @@ TEST(StationNode, ConfigValidationRejectsNonsense) {
   zero_deadline.rpc.deadline = SimTime::zero();
   EXPECT_EQ(zero_deadline.validate().code(), Errc::invalid_argument);
 
-  StationConfig zero_threshold;
-  zero_threshold.failover_threshold = 0;
-  EXPECT_EQ(zero_threshold.validate().code(), Errc::invalid_argument);
 
   StationConfig no_bandwidth;
   no_bandwidth.min_bandwidth_bps = 0.0;
   EXPECT_EQ(no_bandwidth.validate().code(), Errc::invalid_argument);
+
+  StationConfig no_trees;
+  no_trees.swarm.enabled = true;
+  no_trees.swarm.trees = 0;
+  EXPECT_EQ(no_trees.validate().code(), Errc::invalid_argument);
+
+  StationConfig too_many_trees;
+  too_many_trees.swarm.enabled = true;
+  too_many_trees.swarm.trees = 65;
+  EXPECT_EQ(too_many_trees.validate().code(), Errc::invalid_argument);
+
+  StationConfig swarm_unchunked;
+  swarm_unchunked.swarm.enabled = true;
+  swarm_unchunked.chunk.enabled = false;
+  EXPECT_EQ(swarm_unchunked.validate().code(), Errc::invalid_argument);
 
   EXPECT_TRUE(StationConfig{}.validate().is_ok());
 }

@@ -124,36 +124,36 @@ TEST(Gossip, TreeLinksAreSymmetric) {
 
 // --- scheduler ---------------------------------------------------------------
 
-SwarmConfig sched_config() {
-  SwarmConfig cfg;
-  cfg.enabled = true;
-  cfg.trees = 2;
-  cfg.link_window = 2;
-  cfg.request_batch = 8;
-  // Pinned so the timing assertions below don't drift with the defaults.
-  cfg.stall_timeout = SimTime::millis(750);
-  cfg.startup_grace = SimTime::seconds(3.0);
-  return cfg;
+// The scheduler tests run against the protocol constants themselves, with
+// chunk counts scaled off kLinkWindow so each test reaches the limit it
+// checks.
+constexpr std::uint32_t kTrees = 2;
+
+Bitmap full_bitmap(std::uint32_t total) {
+  Bitmap all(total);
+  for (std::uint32_t g = 0; g < total; ++g) all.set(g);
+  return all;
 }
 
 TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
-  auto cfg = sched_config();
-  SwarmScheduler s(8, cfg, 42, SimTime::zero());
+  // More availability-1 chunks than one link window holds, and peer 2's
+  // full window plus chunk 5 still fits the global pull window.
+  constexpr std::uint32_t kChunks = kLinkWindow + 2;
+  static_assert(kLinkWindow + 1 <= kPullWindow);
+  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero());
   // No stripe parents set: every tree counts as stalled, pulls are free.
   s.add_peer(2);
   s.add_peer(3);
-  Bitmap common(8);
-  for (std::uint32_t g = 0; g < 8; ++g) common.set(g);
-  Bitmap rare(8);
+  Bitmap rare(kChunks);
   rare.set(5);
-  s.peer_update(2, common.words());
+  s.peer_update(2, full_bitmap(kChunks).words());
   s.peer_update(3, rare.words());
   auto plans = s.plan(SimTime::seconds(10));
   ASSERT_FALSE(plans.empty());
   // Chunk 5 is held by both peers (availability 2), everything else only
   // by peer 2 (availability 1). The availability-1 chunks are planned
   // first and fill peer 2's window; chunk 5 then lands on peer 3, the only
-  // chunk it can serve — 3 chunks in flight total.
+  // chunk it can serve — kLinkWindow + 1 chunks in flight total.
   std::set<std::uint32_t> planned;
   bool five_on_peer3 = false;
   for (const auto& p : plans) {
@@ -162,48 +162,44 @@ TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
       if (p.peer == 3 && g == 5) five_on_peer3 = true;
     }
   }
-  EXPECT_EQ(planned.size(), 3u);
-  EXPECT_EQ(s.in_flight(), 3u);
+  EXPECT_EQ(planned.size(), kLinkWindow + 1);
+  EXPECT_EQ(s.in_flight(), kLinkWindow + 1);
   EXPECT_TRUE(planned.contains(5));
   EXPECT_TRUE(five_on_peer3);
 }
 
 TEST(Scheduler, InFlightChunksAreNeverReplanned) {
-  auto cfg = sched_config();
-  SwarmScheduler s(4, cfg, 42, SimTime::zero());
+  constexpr std::uint32_t kChunks = 2 * kLinkWindow;
+  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero());
   s.add_peer(2);
-  Bitmap all(4);
-  for (std::uint32_t g = 0; g < 4; ++g) all.set(g);
-  s.peer_update(2, all.words());
+  s.peer_update(2, full_bitmap(kChunks).words());
   auto first = s.plan(SimTime::seconds(10));
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].chunks.size(), 2u);  // link_window
+  EXPECT_EQ(first[0].chunks.size(), kLinkWindow);
   // Same instant: everything plannable is in flight, nothing new.
   auto second = s.plan(SimTime::seconds(10));
   EXPECT_TRUE(second.empty());
   // Past the request timeout the requests expire and re-plan.
-  auto third = s.plan(SimTime::seconds(10) + cfg.request_timeout + SimTime::millis(1));
+  auto third = s.plan(SimTime::seconds(10) + kRequestTimeout + SimTime::millis(1));
   ASSERT_EQ(third.size(), 1u);
-  EXPECT_EQ(third[0].chunks.size(), 2u);
+  EXPECT_EQ(third[0].chunks.size(), kLinkWindow);
 }
 
 TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
-  auto cfg = sched_config();
-  SwarmScheduler s(8, cfg, 42, SimTime::zero());
+  SwarmScheduler s(8, kTrees, 42, SimTime::zero());
   s.set_stripe_parent(0, 5);
   s.set_stripe_parent(1, 9);
   s.add_peer(2);
-  Bitmap all(8);
-  for (std::uint32_t g = 0; g < 8; ++g) all.set(g);
-  s.peer_update(2, all.words());
+  s.peer_update(2, full_bitmap(8).words());
   // Fresh progress on both trees: nothing is stalled, nothing is pulled.
   s.mark_have(0, SimTime::millis(100));  // tree 0
   s.mark_have(1, SimTime::millis(100));  // tree 1
   EXPECT_TRUE(s.plan(SimTime::millis(200)).empty());
   // Tree 1 goes quiet past the stall timeout; only its chunks (odd g) are
   // pulled, tree 0 keeps riding the pipeline.
-  s.mark_have(2, SimTime::seconds(1.2));  // tree 0 still progressing
-  auto plans = s.plan(SimTime::seconds(1.9));  // tree 1 quiet for 1.8s
+  s.mark_have(2, SimTime::millis(300));  // tree 0 still progressing
+  // Tree 0 quiet for kStallTimeout - 100ms, tree 1 for kStallTimeout + 100ms.
+  auto plans = s.plan(kStallTimeout + SimTime::millis(200));
   ASSERT_EQ(plans.size(), 1u);
   for (std::uint32_t g : plans[0].chunks) {
     EXPECT_EQ(stripe_of(g, 2), 1u) << "pulled a chunk of a healthy tree";
@@ -212,17 +208,15 @@ TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
 }
 
 TEST(Scheduler, MarkHaveClearsFlightAndTracksCompletion) {
-  auto cfg = sched_config();
-  SwarmScheduler s(4, cfg, 42, SimTime::zero());
+  constexpr std::uint32_t kChunks = 2 * kLinkWindow;
+  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero());
   s.add_peer(2);
-  Bitmap all(4);
-  for (std::uint32_t g = 0; g < 4; ++g) all.set(g);
-  s.peer_update(2, all.words());
+  s.peer_update(2, full_bitmap(kChunks).words());
   (void)s.plan(SimTime::seconds(10));
-  EXPECT_EQ(s.in_flight(), 2u);
+  EXPECT_EQ(s.in_flight(), kLinkWindow);
   EXPECT_TRUE(s.mark_have(0, SimTime::seconds(11)));
   EXPECT_FALSE(s.mark_have(0, SimTime::seconds(11)));  // duplicate
-  for (std::uint32_t g = 1; g < 4; ++g) s.mark_have(g, SimTime::seconds(11));
+  for (std::uint32_t g = 1; g < kChunks; ++g) s.mark_have(g, SimTime::seconds(11));
   EXPECT_EQ(s.in_flight(), 0u);  // arrivals settle every outstanding request
   EXPECT_TRUE(s.complete());
   EXPECT_TRUE(s.peers_complete());
