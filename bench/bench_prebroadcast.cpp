@@ -24,6 +24,14 @@ struct PlaybackResult {
   double stall_time_s = 0;  // total time spent waiting past deadlines
 };
 
+// The whole-manifest store-and-forward push, the reference the chunked
+// push is measured against.
+dist::StationConfig store_forward_config() {
+  dist::StationConfig cfg;
+  cfg.chunk.enabled = false;
+  return cfg;
+}
+
 // Plays the manifest at `student`, fetching each blob from the instructor
 // when `lookahead` items before its deadline (SIZE_MAX = everything was
 // preloaded by a broadcast).
@@ -142,12 +150,12 @@ int main(int argc, char** argv) {
                   "pre-broadcast", 0.0, local ? 0 : 15, 0.0, preload_s);
     }
 
-    // Strategy 1b: the historical whole-manifest store-and-forward push —
-    // each hop waits for the entire lecture before forwarding.
+    // Strategy 1b: the whole-manifest store-and-forward push — each hop
+    // waits for the entire lecture before forwarding.
     {
-      SimCluster cluster(8, 2, kCampusLink);
+      SimCluster cluster(8, 2, kCampusLink, store_forward_config());
       auto doc = make_lecture("http://mmu.edu/lec", (blob_mb * 15) << 20, cluster.id(0), 15);
-      cluster.node(0).broadcast_push_store_forward(doc).expect("push");
+      cluster.node(0).broadcast_push(doc).expect("push");
       cluster.net().run();
       double preload_s = cluster.net().now().as_seconds();
       bool local = cluster.store(kStudent).has_materialized(doc.doc_key);
@@ -198,9 +206,9 @@ int main(int argc, char** argv) {
       if (!cluster.store(student).has_materialized(doc.doc_key)) stalls = -1;
     }
     {
-      SimCluster cluster(n, 2, kCampusLink);
+      SimCluster cluster(n, 2, kCampusLink, store_forward_config());
       auto doc = make_lecture("http://mmu.edu/lec", 150ull << 20, cluster.id(0), 15);
-      cluster.node(0).broadcast_push_store_forward(doc).expect("push");
+      cluster.node(0).broadcast_push(doc).expect("push");
       cluster.net().run();
       sf_s = cluster.net().now().as_seconds();
     }

@@ -1,210 +1,19 @@
+// StationNode core: configuration, topology, the failure detector, message
+// dispatch, the store-and-forward reference push, reference announcements
+// and post-lecture migration. The chunked push, swarm, pull and scrape
+// paths live in station_push.cpp, station_swarm.cpp, station_pull.cpp and
+// station_scrape.cpp.
 #include "dist/station_node.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "blob/chunk.hpp"
-#include "common/hash.hpp"
 #include "common/log.hpp"
+#include "dist/station_detail.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "swarm/gossip.hpp"
-#include "swarm/stripe_tree.hpp"
 
 namespace wdoc::dist {
 
-namespace {
-
-// Process-wide distribution counters; every StationNode shares them.
-struct DistMetrics {
-  obs::Counter& pushes;
-  obs::Counter& pulls;
-  obs::Counter& serves;
-  obs::Counter& replications;
-  obs::Counter& migrations;
-  obs::Counter& failed_fetches;
-  obs::Counter& failovers;
-  obs::Counter& resurrections;
-  obs::Counter& scrape_partials;
-  obs::Counter& chunk_sent;
-  obs::Counter& chunk_bytes;
-  obs::Counter& chunk_rejects;
-  obs::Counter& chunk_retransmits;
-  obs::Counter& chunk_orphans;
-  obs::Counter& chunk_repair_reqs;
-  obs::Counter& chunk_repair_served;
-  obs::Counter& chunk_duplicate_rx;
-  obs::Counter& chunk_wasted_bytes;
-  obs::Counter& swarm_begins;
-  obs::Counter& swarm_haves;
-  obs::Counter& swarm_reqs;
-  obs::Counter& swarm_req_chunks;
-  obs::Counter& swarm_served;
-  obs::Counter& swarm_suppressed;
-  obs::Counter& swarm_orphans;
-
-  static DistMetrics& get() {
-    static DistMetrics* m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      return new DistMetrics{
-          reg.counter("dist.pushes"),         reg.counter("dist.pulls"),
-          reg.counter("dist.serves"),         reg.counter("dist.replications"),
-          reg.counter("dist.migrations"),     reg.counter("dist.failed_fetches"),
-          reg.counter("dist.failovers"),      reg.counter("dist.resurrections"),
-          reg.counter("dist.scrape_partials"),
-          reg.counter("dist.chunk.sent"),     reg.counter("dist.chunk.bytes_sent"),
-          reg.counter("dist.chunk.rejects"),  reg.counter("dist.chunk.retransmits"),
-          reg.counter("dist.chunk.orphaned"),
-          reg.counter("dist.chunk.repair_reqs"), reg.counter("dist.chunk.repair_served"),
-          reg.counter("dist.chunk.duplicate_rx"), reg.counter("dist.chunk.wasted_bytes"),
-          reg.counter("swarm.begins"),        reg.counter("swarm.haves"),
-          reg.counter("swarm.reqs"),          reg.counter("swarm.req_chunks"),
-          reg.counter("swarm.served"),        reg.counter("swarm.relay_suppressed"),
-          reg.counter("swarm.orphans"),
-      };
-    }();
-    return *m;
-  }
-};
-
-// Packs (blob ordinal, chunk index) into the cursor queues' chunk key.
-[[nodiscard]] constexpr std::uint64_t chunk_key(std::uint32_t ordinal, std::uint32_t index) {
-  return (static_cast<std::uint64_t>(ordinal) << 32) | index;
-}
-[[nodiscard]] constexpr std::uint32_t key_ordinal(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key >> 32);
-}
-[[nodiscard]] constexpr std::uint32_t key_index(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key & 0xffffffffu);
-}
-
-// Drains child cursors into this station's FIFO uplink one chunk per cursor
-// per pass, until a pass moves nothing. step(cursor) queues at most one
-// chunk and says whether it did. Draining cursor by cursor instead would put
-// one child's whole backlog ahead of the next child's first chunk, and that
-// child's subtree would start a window's serialization time late.
-template <typename Cursors, typename Step>
-void drain_round_robin(Cursors& cursors, Step step) {
-  for (bool more = true; more;) {
-    more = false;
-    for (auto& cursor : cursors) more = step(cursor) || more;
-  }
-}
-
-// Either push begin as a SwarmBegin: a ChunkBegin carries the same fields
-// and opens the pipelined tree, so its stripe count stays 0.
-[[nodiscard]] Result<net::SwarmBegin> decode_begin(const net::Message& msg) {
-  if (msg.type == net::kSwarmBegin) return net::SwarmBegin::decode(msg.payload);
-  auto chunk = net::ChunkBegin::decode(msg.payload);
-  if (!chunk) return chunk.error();
-  net::SwarmBegin out;
-  out.transfer_id = chunk.value().transfer_id;
-  out.chunk_bytes = chunk.value().chunk_bytes;
-  out.manifest = std::move(chunk).value().manifest;
-  return out;
-}
-
-// fetch_req payload: req_id, doc_key, path of station ids walked so far
-// (originator first).
-struct FetchReq {
-  std::uint64_t req_id = 0;
-  std::string doc_key;
-  std::vector<StationId> path;
-
-  [[nodiscard]] Bytes encode() const {
-    Writer w;
-    w.u64(req_id);
-    w.str(doc_key);
-    w.u32(static_cast<std::uint32_t>(path.size()));
-    for (StationId s : path) w.u64(s.value());
-    return w.take();
-  }
-  [[nodiscard]] static Result<FetchReq> decode(std::span<const std::uint8_t> b) {
-    Reader r(b);
-    FetchReq out;
-    auto id = r.u64();
-    if (!id) return id.error();
-    out.req_id = id.value();
-    auto key = r.str();
-    if (!key) return key.error();
-    out.doc_key = std::move(key).value();
-    auto n = r.count(8);
-    if (!n) return n.error();
-    out.path.reserve(n.value());
-    for (std::uint32_t i = 0; i < n.value(); ++i) {
-      auto s = r.u64();
-      if (!s) return s.error();
-      out.path.push_back(StationId{s.value()});
-    }
-    return out;
-  }
-};
-
-// fetch_rsp payload: req_id, manifest, remaining relay path (originator
-// first; the next hop is path.back()).
-struct FetchRsp {
-  std::uint64_t req_id = 0;
-  DocManifest manifest;
-  std::vector<StationId> path;
-
-  [[nodiscard]] Bytes encode() const {
-    Writer w;
-    w.u64(req_id);
-    manifest.serialize(w);
-    w.u32(static_cast<std::uint32_t>(path.size()));
-    for (StationId s : path) w.u64(s.value());
-    return w.take();
-  }
-  [[nodiscard]] static Result<FetchRsp> decode(std::span<const std::uint8_t> b) {
-    Reader r(b);
-    FetchRsp out;
-    auto id = r.u64();
-    if (!id) return id.error();
-    out.req_id = id.value();
-    auto m = DocManifest::deserialize(r);
-    if (!m) return m.error();
-    out.manifest = std::move(m).value();
-    auto n = r.count(8);
-    if (!n) return n.error();
-    out.path.reserve(n.value());
-    for (std::uint32_t i = 0; i < n.value(); ++i) {
-      auto s = r.u64();
-      if (!s) return s.error();
-      out.path.push_back(StationId{s.value()});
-    }
-    return out;
-  }
-};
-
-// fetch_err payload: req_id, doc_key, terminal errc from the serving side.
-struct FetchErr {
-  std::uint64_t req_id = 0;
-  std::string doc_key;
-  Errc code = Errc::not_found;
-
-  [[nodiscard]] Bytes encode() const {
-    Writer w;
-    w.u64(req_id);
-    w.str(doc_key);
-    w.u32(static_cast<std::uint32_t>(code));
-    return w.take();
-  }
-  [[nodiscard]] static Result<FetchErr> decode(std::span<const std::uint8_t> b) {
-    Reader r(b);
-    FetchErr out;
-    auto id = r.u64();
-    auto key = r.str();
-    auto code = r.u32();
-    if (!id || !key || !code) return Error{Errc::corrupt, "bad fetch err"};
-    out.req_id = id.value();
-    out.doc_key = std::move(key).value();
-    out.code = static_cast<Errc>(code.value());
-    return out;
-  }
-};
-
-}  // namespace
+using detail::DistMetrics;
 
 Status ChunkConfig::validate() const {
   if (chunk_bytes == 0 || chunk_bytes > blob::kMaxChunkBytes) {
@@ -332,21 +141,41 @@ void StationNode::note_alive(StationId from) {
   }
 }
 
-// --- push --------------------------------------------------------------------
+Status StationNode::send_message(StationId to, const char* type, net::Payload payload,
+                                 std::uint64_t wire_size, obs::TraceContext trace) {
+  net::Message msg;
+  msg.from = self_;
+  msg.to = to;
+  msg.type = type;
+  msg.payload = std::move(payload);
+  msg.wire_size = wire_size;
+  msg.trace = trace;
+  return fabric_->send(std::move(msg));
+}
+
+Status StationNode::hold_ephemeral(const DocManifest& m) {
+  const StoredDoc* d = store_->doc(m.doc_key);
+  if (d == nullptr) return store_->put_instance(m, /*ephemeral=*/true);
+  if (d->form == ObjectForm::reference) return store_->materialize(m.doc_key, /*ephemeral=*/true);
+  return Status::ok();
+}
+
+bool StationNode::blobs_complete(const DocManifest& m) const {
+  const auto& bs = store_->blobs();
+  for (const BlobRef& b : m.blobs) {
+    if (b.size != 0 && !bs.find(b.digest).has_value()) return false;
+  }
+  return true;
+}
+
+// --- store-and-forward push -------------------------------------------------
 
 Status StationNode::send_push(StationId to, const DocManifest& manifest,
                               obs::TraceContext trace) {
   Writer w;
   manifest.serialize(w);
-  net::Message msg;
-  msg.from = self_;
-  msg.to = to;
-  msg.type = kPush;
-  msg.payload = w.take();
-  msg.wire_size = manifest.total_bytes();
-  msg.trace = trace;
   DistMetrics::get().pushes.inc();
-  return fabric_->send(std::move(msg));
+  return send_message(to, kPush, w.take(), manifest.total_bytes(), trace);
 }
 
 Status StationNode::broadcast_push(const DocManifest& manifest) {
@@ -355,15 +184,10 @@ Status StationNode::broadcast_push(const DocManifest& manifest) {
   if (store_->doc(manifest.doc_key) == nullptr) {
     WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
   }
-  if (!config_.chunk.enabled) return broadcast_push_store_forward(manifest);
-  return start_push(manifest, config_.swarm.enabled ? config_.swarm.trees : 0);
-}
-
-Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
-  if (position_ == 0) return {Errc::invalid_argument, "station not in broadcast tree"};
-  if (store_->doc(manifest.doc_key) == nullptr) {
-    WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
+  if (config_.chunk.enabled) {
+    return start_push(manifest, config_.swarm.enabled ? config_.swarm.trees : 0);
   }
+  // The store-and-forward reference: the whole manifest to each child.
   last_delivery_ = fabric_->now();
   auto& tracer = obs::Tracer::global();
   const std::uint64_t trace_id =
@@ -376,1049 +200,6 @@ Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
     ++stats_.pushes_forwarded;
   }
   tracer.end(span, fabric_->now());
-  return Status::ok();
-}
-
-// --- chunked push ------------------------------------------------------------
-
-StationNode::Transfer StationNode::new_transfer(const DocManifest& manifest,
-                                                std::uint32_t chunk_bytes) {
-  Transfer t;
-  t.manifest = manifest;
-  t.chunk_bytes = chunk_bytes;
-  for (const BlobRef& b : manifest.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, chunk_bytes);
-  }
-  return t;
-}
-
-Status StationNode::start_push(const DocManifest& manifest, std::uint32_t trees) {
-  const std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
-  Transfer t = new_transfer(manifest, config_.chunk.chunk_bytes);
-  if (trees != 0 && t.total_chunks > net::kMaxWireChunks) {
-    return {Errc::invalid_argument, "transfer too large for swarm mode"};
-  }
-  t.delivered = true;  // the instructor holds the persistent instance
-  last_delivery_ = fabric_->now();
-  t.trace_id = obs::derive_trace_id(transfer_id);
-  t.span = obs::Tracer::global().begin(
-      (trees == 0 ? "dist.push " : "swarm.push ") + manifest.doc_key, 0, fabric_->now(),
-      self_.value(), t.trace_id);
-  open_transfer(transfer_id, std::move(t), trees);
-  return Status::ok();
-}
-
-void StationNode::on_begin(const net::Message& msg) {
-  auto begin = decode_begin(msg);
-  if (!begin) {
-    WDOC_ERROR("%s decode failed: %s", msg.type.c_str(), begin.message().c_str());
-    return;
-  }
-  Reader mr(begin.value().manifest);
-  auto manifest = DocManifest::deserialize(mr);
-  if (!manifest) {
-    WDOC_ERROR("%s manifest decode failed: %s", msg.type.c_str(),
-               manifest.message().c_str());
-    return;
-  }
-  ++stats_.pushes_received;
-  const std::uint64_t transfer_id = begin.value().transfer_id;
-  // A swarm station is a child in several stripe trees: every tree's parent
-  // announces, the first begin wins, the rest are idempotent no-ops (and
-  // the redundancy is what makes a lost begin survivable under loss).
-  if (transfers_.contains(transfer_id)) return;
-  // The stripe count comes from the wire, not local config — the whole
-  // cluster must agree on the forest geometry.
-  const std::uint32_t trees = begin.value().trees;
-  const DocManifest& m = manifest.value();
-  Transfer t = new_transfer(m, begin.value().chunk_bytes);
-  if (trees != 0 && t.total_chunks > net::kMaxWireChunks) return;
-  t.trace_id = msg.trace.trace_id;
-  t.trace_sampled = msg.trace.sampled;
-  t.span = obs::Tracer::global().begin(
-      (trees == 0 ? "dist.push.hop " : "swarm.push.hop ") + m.doc_key, msg.trace.span_id,
-      fabric_->now(), self_.value(), t.trace_id);
-  // Mirror entry first, so even a transfer that loses its tail leaves the
-  // routing information chunk-level repair needs.
-  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
-  auto& bs = store_->blobs();
-  for (const BlobRef& b : m.blobs) {
-    if (bs.find(b.digest).has_value() || b.size == 0) continue;
-    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
-  }
-  open_transfer(transfer_id, std::move(t), trees);
-}
-
-void StationNode::open_transfer(std::uint64_t transfer_id, Transfer t,
-                                std::uint32_t trees) {
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  if (trees == 0) {
-    open_transfer_children(transfer_id, it->second);
-  } else {
-    init_swarm(transfer_id, it->second, trees);
-    open_swarm_children(transfer_id, it->second);
-  }
-  if (!it->second.delivered && transfer_blobs_complete(it->second)) {
-    deliver_transfer(transfer_id);
-  }
-  maybe_retire_transfer(transfer_id);
-}
-
-net::Payload StationNode::begin_payload(std::uint64_t transfer_id,
-                                        const Transfer& t) const {
-  Writer w;
-  t.manifest.serialize(w);
-  if (t.swarm()) {
-    net::SwarmBegin begin;
-    begin.transfer_id = transfer_id;
-    begin.chunk_bytes = t.chunk_bytes;
-    begin.trees = t.stripe_trees;
-    begin.manifest = w.take();
-    return net::Payload{begin.encode()};
-  }
-  net::ChunkBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  begin.manifest = w.take();
-  return net::Payload{begin.encode()};
-}
-
-Status StationNode::send_begin(const Transfer& t, StationId to,
-                               const net::Payload& payload) {
-  net::Message out;
-  out.from = self_;
-  out.to = to;
-  out.type = t.swarm() ? kSwarmBegin : kChunkBegin;
-  out.payload = payload;
-  // The begin carries the structure (the small copied objects) plus the
-  // manifest itself; blob bytes are charged chunk by chunk.
-  out.wire_size = t.manifest.structure_bytes + payload.size();
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-  (t.swarm() ? DistMetrics::get().swarm_begins : DistMetrics::get().pushes).inc();
-  return fabric_->send(std::move(out));
-}
-
-void StationNode::open_transfer_children(std::uint64_t transfer_id, Transfer& t) {
-  if (position_ == 0) return;
-  // One refcounted buffer shared by every child's begin: m children bump a
-  // refcount instead of copying the manifest m times.
-  const net::Payload payload = begin_payload(transfer_id, t);
-  for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-    StationId cid = tree_order()[child - 1];
-    if (!send_begin(t, cid, payload).is_ok()) continue;
-    ++stats_.pushes_forwarded;
-    ChildCursor cursor;
-    cursor.child = cid;
-    t.children.push_back(std::move(cursor));
-    enqueue_held_chunks(t, t.children.back());
-  }
-  drain_round_robin(t.children, [&](ChildCursor& cursor) {
-    return send_next_chunk(transfer_id, t, cursor);
-  });
-}
-
-void StationNode::enqueue_held_chunks(Transfer& t, ChildCursor& cursor) {
-  auto& bs = store_->blobs();
-  for (std::uint32_t ordinal = 0; ordinal < t.manifest.blobs.size(); ++ordinal) {
-    const BlobRef& b = t.manifest.blobs[ordinal];
-    const std::uint32_t total = blob::chunk_count(b.size, t.chunk_bytes);
-    for (std::uint32_t i = 0; i < total; ++i) {
-      if (t.swarm()) {
-        // A stripe cursor carries only its own tree's chunks, and skips
-        // any the child has already reported owning.
-        const std::uint32_t g = t.chunk_prefix[ordinal] + i;
-        if (swarm::stripe_of(g, t.stripe_trees) != cursor.tree) continue;
-        if (t.sched && cursor.child_pos != 0 && t.sched->peer_has(cursor.child_pos, g)) {
-          DistMetrics::get().swarm_suppressed.inc();
-          continue;
-        }
-      }
-      if (bs.has_chunk(b.digest, i, t.chunk_bytes)) {
-        cursor.pending.push_back(chunk_key(ordinal, i));
-      }
-    }
-  }
-}
-
-void StationNode::pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end()) return;
-  while (send_next_chunk(transfer_id, it->second, cursor)) {
-  }
-}
-
-bool StationNode::send_next_chunk(std::uint64_t transfer_id, Transfer& t,
-                                  ChildCursor& cursor) {
-  if (dead_.contains(cursor.child)) {
-    // Stop feeding a declared-dead child; its reparented subtree recovers
-    // the tail through chunk-level repair instead.
-    cursor.pending.clear();
-    return false;
-  }
-  // A chunk whose send fails is dropped and the next pending one tried, so
-  // a failure never strands the chunks queued behind it.
-  while (!cursor.pending.empty() && cursor.in_flight.size() < config_.chunk.window) {
-    const std::uint64_t key = cursor.pending.front();
-    cursor.pending.pop_front();
-    const std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-    const StationId child = cursor.child;
-    rpc_target_[req_id] = child;
-    net::RpcOptions opts = config_.rpc;
-    // A chunk may legitimately wait behind every other in-flight chunk of
-    // this transfer on the shared uplink before its ack can even start back
-    // (the windows of ALL children serialize through one link — a star
-    // parent queues children × window chunks); scale the per-attempt
-    // deadline by that worst-case backlog on the slowest modeled link.
-    opts.deadline += SimTime::seconds(
-        static_cast<double>(t.children.size()) *
-        static_cast<double>(config_.chunk.window) *
-        static_cast<double>(t.chunk_bytes) * 8.0 / config_.min_bandwidth_bps);
-    rpc_.track<std::uint64_t>(
-        req_id, opts,
-        [this, transfer_id, child, key, req_id](Result<std::uint64_t>, SimTime) {
-          // Acked or given up: either way the window slot frees. A lost
-          // chunk is not re-pushed past its retry budget — the child's
-          // chunk-level repair re-pulls exactly the missing indices.
-          rpc_target_.erase(req_id);
-          auto ti = transfers_.find(transfer_id);
-          if (ti == transfers_.end()) return;
-          for (ChildCursor& c : ti->second.children) {
-            if (c.child != child) continue;
-            c.in_flight.erase(key);
-            pump_cursor(transfer_id, c);
-            break;
-          }
-          maybe_retire_transfer(transfer_id);
-        },
-        [this, transfer_id, child, key, req_id](std::uint32_t) {
-          if (dead_.contains(child)) {
-            return Status{Errc::unreachable, "child declared dead"};
-          }
-          auto ti = transfers_.find(transfer_id);
-          if (ti == transfers_.end()) {
-            return Status{Errc::unavailable, "transfer retired"};
-          }
-          return send_chunk(transfer_id, ti->second, child, key, req_id,
-                            /*retransmit=*/true);
-        });
-    Status s = send_chunk(transfer_id, t, child, key, req_id, /*retransmit=*/false);
-    if (!s.is_ok()) {
-      rpc_.cancel(req_id);
-      rpc_target_.erase(req_id);
-      continue;
-    }
-    cursor.in_flight.emplace(key, req_id);
-    return true;
-  }
-  return false;
-}
-
-Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
-                               StationId child, std::uint64_t key,
-                               std::uint64_t req_id, bool retransmit) {
-  const std::uint32_t ordinal = key_ordinal(key);
-  if (ordinal >= t.manifest.blobs.size()) {
-    return {Errc::invalid_argument, "chunk key out of range"};
-  }
-  net::Message out;
-  auto chunk_len = chunk_message(out, child, t.manifest.blobs[ordinal], key_index(key),
-                                 t.chunk_bytes, req_id, transfer_id);
-  if (!chunk_len) return chunk_len.status();
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-  ++stats_.chunks_sent;
-  stats_.chunk_bytes_sent += chunk_len.value();
-  auto& dm = DistMetrics::get();
-  dm.chunk_sent.inc();
-  dm.chunk_bytes.inc(chunk_len.value());
-  if (retransmit) {
-    ++stats_.chunk_retransmits;
-    dm.chunk_retransmits.inc();
-  }
-  return fabric_->send(std::move(out));
-}
-
-Result<std::uint32_t> StationNode::chunk_message(net::Message& out, StationId to,
-                                                 const BlobRef& blob, std::uint32_t index,
-                                                 std::uint32_t chunk_bytes,
-                                                 std::uint64_t req_id,
-                                                 std::uint64_t transfer_id) {
-  auto payload = store_->blobs().chunk_payload(blob.digest, index, chunk_bytes);
-  if (!payload) return payload.error();
-  net::ChunkData d;
-  d.req_id = req_id;
-  d.transfer_id = transfer_id;
-  d.digest = blob.digest;
-  d.index = index;
-  d.has_payload = !payload.value().empty();
-  d.chunk_len = d.has_payload ? static_cast<std::uint32_t>(payload.value().size())
-                              : blob::chunk_size_at(blob.size, index, chunk_bytes);
-  if (d.chunk_len == 0) return Error{Errc::unavailable, "empty chunk"};
-  d.chunk_digest = d.has_payload ? blob::real_chunk_digest(payload.value())
-                                 : blob::synthetic_chunk_digest(blob.digest, index);
-  if (d.has_payload) d.payload = std::move(payload).value();
-  out.from = self_;
-  out.to = to;
-  out.type = kChunkData;
-  out.payload = d.encode();  // the small per-hop header
-  // The chunk bytes ride out-of-band: the slice from the blob store is
-  // forwarded untouched (a refcount bump, not a copy).
-  out.body = d.payload;
-  if (!d.has_payload) out.wire_size = d.chunk_len + net::kWireHeaderBytes;
-  return d.chunk_len;
-}
-
-bool StationNode::transfer_blobs_complete(const Transfer& t) const {
-  const auto& bs = store_->blobs();
-  for (const BlobRef& b : t.manifest.blobs) {
-    if (b.size != 0 && !bs.find(b.digest).has_value()) return false;
-  }
-  return true;
-}
-
-void StationNode::deliver_transfer(std::uint64_t transfer_id) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end() || it->second.delivered) return;
-  Transfer& t = it->second;
-  t.delivered = true;
-  last_delivery_ = fabric_->now();
-  const std::string& key = t.manifest.doc_key;
-  const StoredDoc* d = store_->doc(key);
-  if (d == nullptr) {
-    (void)store_->put_instance(t.manifest, /*ephemeral=*/true);
-  } else if (d->form == ObjectForm::reference) {
-    (void)store_->materialize(key, /*ephemeral=*/true);
-  }
-}
-
-void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end()) return;
-  const Transfer& t = it->second;
-  if (!t.delivered) return;
-  // A swarm transfer stays alive while its gossip loop runs — it may still
-  // be serving chunks to (or pulling them for) incomplete neighbors.
-  if (t.swarm() && !t.gossip_done) return;
-  if (t.swarm() && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) return;
-  for (const ChildCursor& c : t.children) {
-    if (!c.pending.empty() || !c.in_flight.empty()) return;
-  }
-  if (t.gossip_timer) t.gossip_timer->store(true);
-  if (t.pace_timer) t.pace_timer->store(true);
-  obs::Tracer::global().end(t.span, fabric_->now());
-  transfers_.erase(it);
-}
-
-void StationNode::on_chunk_data(const net::Message& msg) {
-  auto data = net::ChunkData::decode(msg.payload, msg.body);
-  if (!data) {
-    ++stats_.chunk_rejects;
-    DistMetrics::get().chunk_rejects.inc();
-    return;
-  }
-  const net::ChunkData& d = data.value();
-  if (d.req_id != 0) {
-    // Receipt (not acceptance) frees the sender's window slot; duplicates
-    // and rejects are acked too — integrity gaps are repair's job.
-    net::ChunkAck ack;
-    ack.req_id = d.req_id;
-    ack.transfer_id = d.transfer_id;
-    ack.digest = d.digest;
-    ack.index = d.index;
-    net::Message out;
-    out.from = self_;
-    out.to = msg.from;
-    out.type = kChunkAck;
-    out.payload = ack.encode();
-    (void)fabric_->send(std::move(out));
-  }
-  auto add = store_->blobs().add_chunk(d.digest, d.index, d.chunk_digest,
-                                       d.payload.span());
-  if (!add) {
-    if (add.code() == Errc::not_found) {
-      // No assembly state here: the transfer's begin was lost, or this is
-      // stray repair data. Dropped — repair re-pulls under a fresh partial.
-      DistMetrics::get().chunk_orphans.inc();
-    } else {
-      ++stats_.chunk_rejects;
-      DistMetrics::get().chunk_rejects.inc();
-    }
-    return;
-  }
-  const bool duplicate = add.value() == blob::BlobStore::ChunkAdd::duplicate;
-  if (duplicate) {
-    // The wire bytes were spent either way — account the waste (swarm mode
-    // is where overlapping sources make this reachable at scale).
-    ++stats_.chunk_duplicate_rx;
-    stats_.chunk_wasted_bytes += d.chunk_len;
-    auto& dm = DistMetrics::get();
-    dm.chunk_duplicate_rx.inc();
-    dm.chunk_wasted_bytes.inc(d.chunk_len);
-  } else {
-    ++stats_.chunks_received;
-  }
-  if (d.transfer_id == 0) return;  // repair/pull data: no relay, no transfer state
-  auto it = transfers_.find(d.transfer_id);
-  if (it == transfers_.end()) return;
-  Transfer& t = it->second;
-  std::uint32_t ordinal = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t i = 0; i < t.manifest.blobs.size(); ++i) {
-    if (t.manifest.blobs[i].digest == d.digest) {
-      ordinal = i;
-      break;
-    }
-  }
-  if (ordinal == std::numeric_limits<std::uint32_t>::max()) return;
-  if (t.swarm() && t.sched && ordinal + 1 < t.chunk_prefix.size()) {
-    // Even a duplicate settles the in-flight request for this chunk.
-    t.sched->mark_have(t.chunk_prefix[ordinal] + d.index, fabric_->now());
-  }
-  if (duplicate) return;
-  // Cut-through relay: this verified chunk forwards to every child now,
-  // before the next chunk arrives. In swarm mode only the chunk's stripe
-  // cursors carry it, and children already known to hold it are skipped.
-  const std::uint64_t key = chunk_key(ordinal, d.index);
-  if (t.swarm()) {
-    const std::uint32_t g = t.chunk_prefix[ordinal] + d.index;
-    const std::uint32_t tree = swarm::stripe_of(g, t.stripe_trees);
-    for (ChildCursor& c : t.children) {
-      if (c.tree != tree) continue;
-      if (t.sched && c.child_pos != 0 && t.sched->peer_covered(c.child_pos, g)) {
-        DistMetrics::get().swarm_suppressed.inc();
-        continue;
-      }
-      enqueue_swarm_send(d.transfer_id, t, {c.child, c.child_pos, key, false});
-    }
-  } else {
-    for (ChildCursor& c : t.children) c.pending.push_back(key);
-    for (ChildCursor& c : t.children) pump_cursor(d.transfer_id, c);
-  }
-  if (!t.delivered && transfer_blobs_complete(t)) deliver_transfer(d.transfer_id);
-  maybe_retire_transfer(d.transfer_id);
-}
-
-void StationNode::on_chunk_ack(const net::Message& msg) {
-  auto ack = net::ChunkAck::decode(msg.payload);
-  if (!ack) return;
-  if (!rpc_.in_flight(ack.value().req_id)) {
-    rpc_.note_duplicate();
-    return;
-  }
-  (void)rpc_.complete<std::uint64_t>(ack.value().req_id,
-                                     std::uint64_t{ack.value().index});
-}
-
-void StationNode::on_chunk_req(const net::Message& msg) {
-  auto req = net::ChunkReq::decode(msg.payload);
-  if (!req) return;
-  const net::ChunkReq& q = req.value();
-  auto& dm = DistMetrics::get();
-  std::uint32_t served = 0;
-  BlobRef blob;
-  blob.digest = q.digest;
-  blob.size = q.size;
-  for (std::uint32_t index : q.indices) {
-    // A chunk not held here is skipped; the requester walks further up, and
-    // a pinned fetch from a station without the blob gets served = 0.
-    net::Message out;
-    auto chunk_len = chunk_message(out, msg.from, blob, index, q.chunk_bytes,
-                                   /*req_id=*/0, /*transfer_id=*/0);
-    if (!chunk_len || !fabric_->send(std::move(out)).is_ok()) continue;
-    ++served;
-    ++stats_.chunks_sent;
-    ++stats_.chunk_repair_served;
-    stats_.chunk_bytes_sent += chunk_len.value();
-    dm.chunk_sent.inc();
-    dm.chunk_bytes.inc(chunk_len.value());
-  }
-  dm.chunk_repair_served.inc(served);
-  // FIFO links guarantee the data above lands before this summary.
-  net::ChunkRsp rsp;
-  rsp.req_id = q.req_id;
-  rsp.served = served;
-  rsp.requested = static_cast<std::uint32_t>(q.indices.size());
-  net::Message out;
-  out.from = self_;
-  out.to = msg.from;
-  out.type = kChunkRsp;
-  out.payload = rsp.encode();
-  (void)fabric_->send(std::move(out));
-}
-
-void StationNode::on_chunk_rsp(const net::Message& msg) {
-  auto rsp = net::ChunkRsp::decode(msg.payload);
-  if (!rsp) return;
-  if (!rpc_.in_flight(rsp.value().req_id)) {
-    rpc_.note_duplicate();
-    return;
-  }
-  (void)rpc_.complete<std::uint32_t>(rsp.value().req_id, rsp.value().served);
-}
-
-// --- swarm mode (multi-source distribution, DESIGN.md §4f) -------------------
-
-void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees) {
-  t.stripe_trees = trees;
-  t.chunk_prefix.assign(1, 0);
-  for (const BlobRef& b : t.manifest.blobs) {
-    t.chunk_prefix.push_back(t.chunk_prefix.back() +
-                             blob::chunk_count(b.size, t.chunk_bytes));
-  }
-  const std::uint64_t n = tree_order().size();
-  const std::uint32_t total = static_cast<std::uint32_t>(t.total_chunks);
-  // The tie-break seed is per-station (different stations spread their
-  // pulls differently); the neighbor seed is the transfer id, which every
-  // station knows, so both ends of a tree link derive the same sets.
-  t.sched = std::make_unique<swarm::SwarmScheduler>(
-      total, trees, hash_combine(self_.value(), transfer_id), fabric_->now());
-  t.acting_parent.assign(t.stripe_trees, 0);
-  t.acting_since.assign(t.stripe_trees, fabric_->now());
-  for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
-    auto p = swarm::stripe_parent(position_, tree, t.stripe_trees, m_, n);
-    t.sched->set_stripe_parent(tree, p.value_or(0));
-    t.acting_parent[tree] = p.value_or(0);
-  }
-  for (std::uint64_t nb : swarm::gossip_neighbors(position_, m_, n, t.stripe_trees,
-                                                  swarm::kExtraPeers, transfer_id)) {
-    t.sched->add_peer(nb);
-  }
-  // Seed our own bitmap from whatever the blob store already holds
-  // (everything at the instructor; possibly shared blobs elsewhere).
-  std::vector<std::uint64_t> words((total + 63) / 64, 0);
-  const auto& bs = store_->blobs();
-  for (std::uint32_t ordinal = 0; ordinal < t.manifest.blobs.size(); ++ordinal) {
-    const BlobRef& b = t.manifest.blobs[ordinal];
-    bs.chunk_bits(b.digest, b.size, t.chunk_bytes, t.chunk_prefix[ordinal], words);
-  }
-  swarm::Bitmap have;
-  have.assign_words(std::move(words), total);
-  t.sched->seed_self(have, fabric_->now());
-  schedule_swarm_tick(transfer_id);
-}
-
-void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
-  if (position_ == 0) return;
-  const std::uint64_t n = tree_order().size();
-  // One refcounted begin shared by every stripe child; a station that is
-  // our child in several trees gets one begin but one cursor per tree.
-  const net::Payload payload = begin_payload(transfer_id, t);
-  std::set<std::uint64_t> announced;
-  for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
-    for (std::uint64_t child_pos :
-         swarm::stripe_children(position_, tree, t.stripe_trees, m_, n)) {
-      if (child_pos < 1 || child_pos > n || child_pos == position_) continue;
-      StationId cid = tree_order()[child_pos - 1];
-      if (announced.insert(child_pos).second) {
-        (void)send_begin(t, cid, payload);
-        ++stats_.pushes_forwarded;
-      }
-      ChildCursor cursor;
-      cursor.child = cid;
-      cursor.tree = tree;
-      cursor.child_pos = child_pos;
-      t.children.push_back(std::move(cursor));
-      enqueue_held_chunks(t, t.children.back());
-    }
-  }
-  drain_round_robin(t.children, [&](ChildCursor& c) {
-    if (c.pending.empty()) return false;
-    enqueue_swarm_send(transfer_id, t, {c.child, c.child_pos, c.pending.front(), false});
-    c.pending.pop_front();
-    return true;
-  });
-}
-
-SimTime StationNode::swarm_pace_interval(const Transfer& t) const {
-  // One chunk's serialization time on our own uplink (fabrics without a
-  // link model fall back to the configured floor). Sending at most one
-  // chunk per interval keeps the fabric's FIFO queue a chunk or two deep.
-  double bps = fabric_->uplink_bps(self_);
-  if (bps <= 0) bps = config_.min_bandwidth_bps;
-  const double bytes = static_cast<double>(t.chunk_bytes) + net::kWireHeaderBytes;
-  return SimTime::seconds(bytes * 8.0 / bps);
-}
-
-void StationNode::enqueue_swarm_send(std::uint64_t transfer_id, Transfer& t,
-                                     SwarmSend entry) {
-  (entry.serve ? t.swarm_serve_queue : t.swarm_queue).push_back(entry);
-  if (t.pacing) return;
-  t.pacing = true;
-  // First send goes out immediately (cut-through); the timer only paces
-  // the backlog behind it.
-  swarm_pace_tick(transfer_id);
-}
-
-void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end()) return;
-  Transfer& t = it->second;
-  // Swarm relays are unacked: a per-chunk ack would ride the child's
-  // already-saturated uplink FIFO behind its own relays, and the window
-  // stalls would halve pipeline throughput. Loss shows up as a bitmap
-  // hole and is recovered by the rarest-first pull path instead.
-  bool sent = false;
-  while (!sent && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) {
-    // Relays before serves, but after kServeStride consecutive relays one
-    // serve cuts in (see the queue comment in the header).
-    const bool serve_turn =
-        !t.swarm_serve_queue.empty() &&
-        (t.swarm_queue.empty() || t.relays_since_serve >= swarm::kServeStride);
-    std::deque<SwarmSend>& q =
-        serve_turn ? t.swarm_serve_queue : t.swarm_queue;
-    const SwarmSend entry = q.front();
-    q.pop_front();
-    if (dead_.contains(entry.to)) continue;
-    if (t.sched && entry.peer_pos != 0) {
-      const std::uint32_t ordinal = key_ordinal(entry.key);
-      const std::uint32_t g = ordinal + 1 < t.chunk_prefix.size()
-                                  ? t.chunk_prefix[ordinal] + key_index(entry.key)
-                                  : 0;
-      // A relay yields to the receiver's own pull of the chunk (its
-      // pending bit); a serve IS that pull being answered, so it only
-      // yields to confirmed possession.
-      const bool covered = entry.serve ? t.sched->peer_has(entry.peer_pos, g)
-                                       : t.sched->peer_covered(entry.peer_pos, g);
-      if (ordinal + 1 < t.chunk_prefix.size() && covered) {
-        // The receiver reported the chunk (or a request for it) after this
-        // send was queued — drop it, count it.
-        DistMetrics::get().swarm_suppressed.inc();
-        continue;
-      }
-    }
-    if (!send_chunk(transfer_id, t, entry.to, entry.key, /*req_id=*/0,
-                    /*retransmit=*/false)
-             .is_ok()) {
-      continue;
-    }
-    sent = true;
-    if (entry.serve) {
-      t.relays_since_serve = 0;
-      ++stats_.swarm_chunks_served;
-      DistMetrics::get().swarm_served.inc();
-    } else {
-      ++t.relays_since_serve;
-    }
-  }
-  if (!sent && t.swarm_queue.empty() && t.swarm_serve_queue.empty()) {
-    // Idle tick with nothing left: the link goes quiet immediately.
-    t.pacing = false;
-    maybe_retire_transfer(transfer_id);
-    return;
-  }
-  // Stay "busy" for one chunk-time after every send even if the queue is
-  // momentarily empty — a relay enqueued a moment later must not bypass
-  // the pace and burst onto the wire behind the chunk still serializing.
-  t.pacing = true;
-  t.pace_timer = fabric_->schedule_on(
-      self_, swarm_pace_interval(t),
-      [this, transfer_id] { swarm_pace_tick(transfer_id); });
-}
-
-void StationNode::schedule_swarm_tick(std::uint64_t transfer_id) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end()) return;
-  it->second.gossip_timer =
-      fabric_->schedule_on(self_, swarm::kGossipInterval,
-                           [this, transfer_id] { on_swarm_tick(transfer_id); });
-}
-
-void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end()) return;
-  Transfer& t = it->second;
-  if (!t.swarm() || t.sched == nullptr || t.gossip_done) return;
-  if (!fabric_->is_online(self_)) {
-    // Crashed mid-transfer: the swarm is done with us. If we restart later
-    // the blob-level pull/repair path catches us up; keeping the gossip
-    // timer alive would run the simulation clock out to kMaxRounds.
-    t.gossip_done = true;
-    maybe_retire_transfer(transfer_id);
-    return;
-  }
-  ++t.gossip_rounds;
-  const SimTime now = fabric_->now();
-  const std::uint64_t n = tree_order().size();
-  const std::uint32_t total = static_cast<std::uint32_t>(t.total_chunks);
-  // Stripe-ancestor adoption: while the closest expected ancestor of a
-  // stripe tree stays gossip-silent past kStallTimeout, walk one level up
-  // and start gossiping with that ancestor too (one level per walk — each
-  // adopted ancestor gets a full timeout to answer before we pass it).
-  // Only the head of an orphaned subtree walks; its descendants keep
-  // hearing their (recovering) parent.
-  for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
-    const std::uint64_t ap = t.acting_parent[tree];
-    if (ap == 0 || t.sched->complete()) continue;
-    const SimTime heard = t.sched->peer_heard_at(ap);
-    const SimTime ref = heard > t.acting_since[tree] ? heard : t.acting_since[tree];
-    if (now - ref <= swarm::kStallTimeout) continue;
-    auto up = swarm::stripe_parent(ap, tree, t.stripe_trees, m_, n);
-    t.acting_parent[tree] = up.value_or(0);
-    t.acting_since[tree] = now;
-    if (up.has_value() && up.value() != position_) t.sched->add_peer(up.value());
-  }
-  // A child that has never gossiped may simply have lost its SwarmBegin
-  // (it is sent once per stripe tree; a lossy link can drop every copy,
-  // and gossip for an unknown transfer is discarded on arrival). After a
-  // startup grace — a healthy child's first gossip arrives within a round
-  // or two, and begins carry a whole manifest, so eager re-sends would
-  // steal chunk-sized slots from the uplink right at ramp-up — re-send
-  // every few rounds until the child speaks; begins are idempotent.
-  if (t.gossip_rounds > 8 && t.gossip_rounds % 4 == 1) {
-    std::set<std::uint64_t> silent;
-    net::Payload begin;
-    for (const ChildCursor& c : t.children) {
-      if (c.child_pos < 1 || c.child_pos > n) continue;
-      if (dead_.contains(c.child)) continue;
-      if (t.sched->peer_heard_at(c.child_pos) != SimTime::zero()) continue;
-      if (!silent.insert(c.child_pos).second) continue;
-      if (begin.empty()) begin = begin_payload(transfer_id, t);
-      (void)send_begin(t, c.child, begin);
-    }
-  }
-  // Advertised backlog approximates a new request's serve latency in
-  // chunk-times, not raw queue length: while the uplink is relay-busy a
-  // queued serve waits kServeStride relay slots per position, so each one
-  // costs (stride + 1) chunk-times. A raw count makes a stride-throttled
-  // interior server look as cheap as an idle leaf, and every requester
-  // herds onto it.
-  const std::size_t relay_q = t.swarm_queue.size();
-  const std::size_t serve_q = t.swarm_serve_queue.size();
-  // "Relay-busy" can't be read off the queue (cut-through keeps it near
-  // empty between arrivals): a station with stripe children keeps relaying
-  // until its own bitmap completes.
-  const bool relay_busy = !t.children.empty() && !t.sched->complete();
-  const std::size_t serve_cost =
-      relay_busy ? std::min<std::size_t>(swarm::kServeStride, 3) + 1 : 1;
-  // The relay-busy base term prices the latency a FIRST serve would see
-  // even with an empty queue: cut-through keeps a busy relay's queue near
-  // zero between arrivals, and without the base term such a station
-  // advertises the same zero as a genuinely idle leaf.
-  const std::size_t base = relay_busy ? serve_cost : 0;
-  const auto backlog = static_cast<std::uint32_t>(std::min<std::size_t>(
-      base + relay_q + serve_q * serve_cost,
-      std::numeric_limits<std::uint32_t>::max()));
-  auto& dm = DistMetrics::get();
-  // Our bitmap to every known peer — one refcounted buffer for all sends.
-  // Gossip goes out BEFORE the termination check below: the round on which
-  // a station terminates is the round its neighbors learn it is complete,
-  // otherwise their view of us freezes one chunk short and they gossip
-  // until kMaxRounds waiting for it.
-  net::SwarmHave have;
-  have.transfer_id = transfer_id;
-  have.position = position_;
-  have.backlog = backlog;
-  have.recovering = t.sched->recovering_mask();
-  have.total_chunks = total;
-  have.words = t.sched->self().words();
-  have.pending_words = t.sched->pending_words();
-  const net::Payload have_payload{have.encode()};
-  for (std::uint64_t pos : t.sched->peer_positions()) {
-    if (pos < 1 || pos > n || pos == position_) continue;
-    StationId peer = tree_order()[pos - 1];
-    if (dead_.contains(peer)) continue;
-    net::Message out;
-    out.from = self_;
-    out.to = peer;
-    out.type = kSwarmHave;
-    out.payload = have_payload;
-    if (fabric_->send(std::move(out)).is_ok()) {
-      ++stats_.swarm_haves_sent;
-      dm.swarm_haves.inc();
-    }
-  }
-  // Rarest-first pulls for stalled stripes, our bitmap piggybacked.
-  for (const swarm::SwarmPlan& plan : t.sched->plan(now)) {
-    if (plan.peer < 1 || plan.peer > n || plan.chunks.empty()) continue;
-    StationId peer = tree_order()[plan.peer - 1];
-    if (dead_.contains(peer)) continue;
-    net::SwarmReq req;
-    req.transfer_id = transfer_id;
-    req.position = position_;
-    req.backlog = backlog;
-    req.indices = plan.chunks;
-    req.total_chunks = total;
-    req.have_words = t.sched->self().words();
-    req.pending_words = t.sched->pending_words();
-    net::Message out;
-    out.from = self_;
-    out.to = peer;
-    out.type = kSwarmReq;
-    out.payload = req.encode();
-    if (fabric_->send(std::move(out)).is_ok()) {
-      ++stats_.swarm_reqs_sent;
-      dm.swarm_reqs.inc();
-      dm.swarm_req_chunks.inc(plan.chunks.size());
-    }
-  }
-  // Termination: stop once we are complete and, as far as gossip shows,
-  // every neighbor is too — or nothing has changed and no needy neighbor
-  // has been heard for kIdleRounds (a crashed neighbor's bitmap freezes
-  // forever; waiting on it would keep the whole cluster's timers alive).
-  const std::uint64_t sum = t.sched->state_sum();
-  const bool self_done = t.delivered && t.sched->complete();
-  const bool quiet = sum == t.last_state_sum && !t.gossip_heard;
-  t.idle_rounds = (self_done && quiet) ? t.idle_rounds + 1 : 0;
-  t.last_state_sum = sum;
-  t.gossip_heard = false;
-  if (t.gossip_rounds >= swarm::kMaxRounds ||
-      (self_done &&
-       (t.sched->peers_complete() || t.idle_rounds >= swarm::kIdleRounds))) {
-    t.gossip_done = true;
-    maybe_retire_transfer(transfer_id);
-    return;
-  }
-  schedule_swarm_tick(transfer_id);
-}
-
-bool StationNode::position_matches(std::uint64_t position, StationId from) const {
-  return position >= 1 && position <= tree_order().size() &&
-         tree_order()[position - 1] == from;
-}
-
-void StationNode::on_swarm_have(const net::Message& msg) {
-  auto have = net::SwarmHave::decode(msg.payload);
-  if (!have) return;
-  const net::SwarmHave& h = have.value();
-  auto it = transfers_.find(h.transfer_id);
-  if (it == transfers_.end()) {
-    DistMetrics::get().swarm_orphans.inc();
-    return;
-  }
-  Transfer& t = it->second;
-  if (!t.swarm() || t.sched == nullptr) return;
-  if (std::uint64_t{h.total_chunks} != t.total_chunks) return;  // geometry mismatch
-  if (!position_matches(h.position, msg.from)) return;
-  swarm::PeerReport report;
-  report.have = &h.words;
-  report.pending = &h.pending_words;
-  report.backlog = h.backlog;
-  report.recovering = h.recovering;
-  report.now = fabric_->now();
-  t.sched->peer_update(h.position, report);
-  // Only an *incomplete* neighbor holds this transfer open — it may still
-  // need our serves. Completed neighbors echoing their full bitmaps must
-  // not reset the idle countdown, or the cluster keep-alives itself to
-  // kMaxRounds after everyone is done.
-  if (!t.sched->peer_complete(h.position)) t.gossip_heard = true;
-}
-
-void StationNode::on_swarm_req(const net::Message& msg) {
-  auto req = net::SwarmReq::decode(msg.payload);
-  if (!req) return;
-  const net::SwarmReq& q = req.value();
-  auto it = transfers_.find(q.transfer_id);
-  if (it == transfers_.end()) {
-    DistMetrics::get().swarm_orphans.inc();
-    return;
-  }
-  Transfer& t = it->second;
-  if (!t.swarm() || t.sched == nullptr) return;
-  if (std::uint64_t{q.total_chunks} != t.total_chunks) return;
-  if (!position_matches(q.position, msg.from)) return;
-  t.gossip_heard = true;  // an explicit request is always a sign of need
-  // A request doubles as gossip: the piggybacked bitmaps update our view
-  // (and suppress future relays of chunks the requester has or is pulling).
-  swarm::PeerReport report;
-  report.have = &q.have_words;
-  report.pending = &q.pending_words;
-  report.backlog = q.backlog;
-  report.now = fabric_->now();
-  t.sched->peer_update(q.position, report);
-  std::uint32_t queued = 0;
-  for (std::uint32_t g : q.indices) {
-    if (queued >= swarm::kRequestBatch) break;  // hostile-length guard
-    // g -> (ordinal, index) through the prefix table; zero-chunk blobs make
-    // prefix values repeat, so take the last blob whose base covers g.
-    auto ub = std::upper_bound(t.chunk_prefix.begin(), t.chunk_prefix.end(), g);
-    if (ub == t.chunk_prefix.begin()) continue;
-    const auto ordinal = static_cast<std::uint32_t>(ub - t.chunk_prefix.begin()) - 1;
-    if (ordinal >= t.manifest.blobs.size()) continue;
-    const std::uint32_t index = g - t.chunk_prefix[ordinal];
-    // Serves share the paced send queue with stripe relays, so a burst of
-    // requests can't stack a multi-second FIFO on our uplink. Chunks we
-    // don't hold fail the send at pace time and the requester re-plans.
-    enqueue_swarm_send(q.transfer_id, t,
-                       {msg.from, q.position, chunk_key(ordinal, index), true});
-    ++queued;
-  }
-}
-
-Status StationNode::pull_blob_chunks(BlobPull pull) {
-  auto& bs = store_->blobs();
-  if (bs.find(pull.blob.digest).has_value() || pull.blob.size == 0) {
-    pull.done(Status::ok(), fabric_->now());
-    return Status::ok();
-  }
-  // Resume an existing partial at its own geometry; otherwise open one at
-  // this node's configured chunk size.
-  const blob::BlobStore::PartialInfo* p = bs.partial(pull.blob.digest);
-  pull.chunk_bytes = p != nullptr ? p->chunk_bytes : config_.chunk.chunk_bytes;
-  WDOC_TRY(bs.begin_partial(pull.blob.digest, pull.blob.size, pull.blob.type,
-                            pull.chunk_bytes)
-               .status());
-  const std::size_t missing =
-      bs.missing_chunks(pull.blob.digest,
-                        std::numeric_limits<std::uint32_t>::max())
-          .size();
-  auto shared = std::make_shared<BlobPull>(std::move(pull));
-  return start_pull_round(std::move(shared), missing);
-}
-
-Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull,
-                                     std::size_t missing_before) {
-  const std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-  net::RpcOptions opts = pull->base;
-  // The server streams up to repair_batch chunks ahead of its summary;
-  // scale this round's deadline by that serialized burst.
-  const std::uint64_t batch =
-      std::min<std::uint64_t>(missing_before, config_.chunk.repair_batch);
-  opts.deadline += SimTime::seconds(static_cast<double>(batch) *
-                                    static_cast<double>(pull->chunk_bytes) * 8.0 /
-                                    config_.min_bandwidth_bps);
-  rpc_.track<std::uint32_t>(
-      req_id, opts,
-      [this, pull, missing_before, req_id](Result<std::uint32_t> r, SimTime t) {
-        rpc_target_.erase(req_id);
-        auto& bs = store_->blobs();
-        if (bs.find(pull->blob.digest).has_value()) {
-          pull->done(Status::ok(), t);
-          return;
-        }
-        if (!r) {
-          pull->done(r.status(), t);
-          return;
-        }
-        const std::size_t now_missing =
-            bs.missing_chunks(pull->blob.digest,
-                              std::numeric_limits<std::uint32_t>::max())
-                .size();
-        if (now_missing < missing_before) {
-          // Progress: keep pulling. The next round re-routes, so a repaired
-          // parent chain (or resurrected holder) is picked up mid-pull.
-          Status s = start_pull_round(pull, now_missing);
-          if (!s.is_ok()) pull->done(s, t);
-          return;
-        }
-        pull->done({Errc::unavailable, "chunk repair made no progress"}, t);
-      },
-      [this, pull, req_id](std::uint32_t) { return send_chunk_req(req_id, *pull); });
-  Status s = send_chunk_req(req_id, *pull);
-  if (!s.is_ok()) {
-    rpc_.cancel(req_id);
-    rpc_target_.erase(req_id);
-    return s;
-  }
-  DistMetrics::get().chunk_repair_reqs.inc();
-  return Status::ok();
-}
-
-Status StationNode::send_chunk_req(std::uint64_t req_id, const BlobPull& pull) {
-  // Route: pinned holder if given, else the nearest live ancestor, else the
-  // document's home station (the instructor always holds the full blob).
-  std::optional<StationId> target = pull.holder;
-  if (!target.has_value()) target = live_parent_station();
-  if (!target.has_value() && pull.home.value() != 0 && pull.home != self_) {
-    target = pull.home;
-  }
-  if (!target.has_value()) return {Errc::unavailable, "no route for chunk repair"};
-  auto missing =
-      store_->blobs().missing_chunks(pull.blob.digest, config_.chunk.repair_batch);
-  if (missing.empty()) return {Errc::already_exists, "no chunks missing"};
-  rpc_target_[req_id] = *target;
-  net::ChunkReq q;
-  q.req_id = req_id;
-  q.doc_key = pull.doc_key;
-  q.digest = pull.blob.digest;
-  q.size = pull.blob.size;
-  q.media_type = static_cast<std::uint8_t>(pull.blob.type);
-  q.chunk_bytes = pull.chunk_bytes;
-  q.indices = std::move(missing);
-  net::Message out;
-  out.from = self_;
-  out.to = *target;
-  out.type = kChunkReq;
-  out.payload = q.encode();
-  return fabric_->send(std::move(out));
-}
-
-Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
-                                std::optional<net::RpcOptions> options) {
-  if (store_->doc(manifest.doc_key) == nullptr) {
-    WDOC_TRY(store_->put_reference(manifest));
-  }
-  if (store_->has_materialized(manifest.doc_key)) {
-    cb(manifest, fabric_->now());
-    return Status::ok();
-  }
-  auto& bs = store_->blobs();
-  std::vector<BlobRef> incomplete;
-  for (const BlobRef& b : manifest.blobs) {
-    if (b.size != 0 && !bs.find(b.digest).has_value()) incomplete.push_back(b);
-  }
-  if (incomplete.empty()) {
-    const StoredDoc* d = store_->doc(manifest.doc_key);
-    if (d != nullptr && d->form == ObjectForm::reference) {
-      WDOC_TRY(store_->materialize(manifest.doc_key, /*ephemeral=*/true));
-    }
-    cb(manifest, fabric_->now());
-    return Status::ok();
-  }
-  struct RepairState {
-    std::size_t remaining = 0;
-    Status first_error = Status::ok();
-    DocManifest manifest;
-    FetchCallback cb;
-  };
-  auto state = std::make_shared<RepairState>();
-  state->remaining = incomplete.size();
-  state->manifest = manifest;
-  state->cb = std::move(cb);
-  const net::RpcOptions base = options.value_or(config_.rpc);
-  std::size_t started = 0;
-  for (const BlobRef& b : incomplete) {
-    BlobPull pull;
-    pull.doc_key = manifest.doc_key;
-    pull.blob = b;
-    pull.home = manifest.home;
-    pull.base = base;
-    pull.done = [this, state](Status s, SimTime t) {
-      if (!s.is_ok() && state->first_error.is_ok()) state->first_error = s;
-      if (--state->remaining != 0) return;
-      auto& store_bs = store_->blobs();
-      bool complete = true;
-      for (const BlobRef& blob : state->manifest.blobs) {
-        if (blob.size != 0 && !store_bs.find(blob.digest).has_value()) {
-          complete = false;
-          break;
-        }
-      }
-      if (complete) {
-        const StoredDoc* d = store_->doc(state->manifest.doc_key);
-        if (d != nullptr && d->form == ObjectForm::reference) {
-          (void)store_->materialize(state->manifest.doc_key, /*ephemeral=*/true);
-        }
-        state->cb(state->manifest, t);
-        return;
-      }
-      Status err = state->first_error.is_ok()
-                       ? Status{Errc::unavailable, "repair incomplete"}
-                       : state->first_error;
-      state->cb(Result<DocManifest>(err.error()), t);
-    };
-    Status s = pull_blob_chunks(std::move(pull));
-    if (!s.is_ok()) {
-      // Account the failed start without firing cb from inside the loop.
-      if (state->first_error.is_ok()) state->first_error = s;
-      --state->remaining;
-      continue;
-    }
-    ++started;
-  }
-  if (started == 0) {
-    return state->first_error.is_ok()
-               ? Status{Errc::unavailable, "repair could not start"}
-               : state->first_error;
-  }
   return Status::ok();
 }
 
@@ -1436,7 +217,7 @@ void StationNode::on_message(const net::Message& msg) {
     on_fetch_rsp(msg);
   } else if (msg.type == kFetchErr) {
     on_fetch_err(msg);
-  } else if (msg.type == kChunkBegin || msg.type == kSwarmBegin) {
+  } else if (msg.type == kChunkBegin) {
     on_begin(msg);
   } else if (msg.type == kChunkData) {
     on_chunk_data(msg);
@@ -1473,15 +254,9 @@ void StationNode::on_push(const net::Message& msg) {
   auto& tracer = obs::Tracer::global();
   std::uint64_t span = tracer.begin("dist.push.hop " + m.doc_key, msg.trace.span_id,
                                     fabric_->now(), self_.value(), msg.trace.trace_id);
-  const StoredDoc* existing = store_->doc(m.doc_key);
-  if (existing == nullptr) {
-    Status s = store_->put_instance(m, /*ephemeral=*/true);
-    if (!s.is_ok()) {
-      WDOC_WARN("station %llu: push store failed: %s",
-                static_cast<unsigned long long>(self_.value()), s.message().c_str());
-    }
-  } else if (existing->form == ObjectForm::reference) {
-    (void)store_->materialize(m.doc_key, /*ephemeral=*/true);
+  if (Status s = hold_ephemeral(m); !s.is_ok()) {
+    WDOC_WARN("station %llu: push store failed: %s",
+              static_cast<unsigned long long>(self_.value()), s.message().c_str());
   }
   last_delivery_ = fabric_->now();
   // Forward down the tree.
@@ -1501,15 +276,10 @@ Status StationNode::announce_reference(const DocManifest& manifest) {
   manifest.serialize(w);
   // One refcounted manifest buffer shared across the whole fan-out.
   const net::Payload payload{w.take()};
+  // Reference records are structure-free: only the manifest crosses the
+  // wire (charged at payload size), not the document.
   for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-    net::Message msg;
-    msg.from = self_;
-    msg.to = tree_order()[child - 1];
-    msg.type = kRefAnnounce;
-    msg.payload = payload;
-    // Reference records are structure-free: only the manifest crosses the
-    // wire (charged at payload size), not the document.
-    WDOC_TRY(fabric_->send(std::move(msg)));
+    WDOC_TRY(send_message(tree_order()[child - 1], kRefAnnounce, payload));
   }
   return Status::ok();
 }
@@ -1525,244 +295,9 @@ void StationNode::on_ref_announce(const net::Message& msg) {
   // Forward down the tree: the received slice itself, refcounted.
   if (position_ != 0) {
     for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-      net::Message out;
-      out.from = self_;
-      out.to = tree_order()[child - 1];
-      out.type = kRefAnnounce;
-      out.payload = msg.payload;
-      (void)fabric_->send(std::move(out));
+      (void)send_message(tree_order()[child - 1], kRefAnnounce, msg.payload);
     }
   }
-}
-
-// --- pull --------------------------------------------------------------------
-
-Status StationNode::send_fetch_req(std::uint64_t req_id, const std::string& doc_key) {
-  // Route per attempt: parent chain skipping declared-dead ancestors. When
-  // the whole ancestry is suspected dead, probe the direct parent anyway —
-  // suspicion is not certainty, and any reply resurrects it. With no tree
-  // at all, go straight to the document's home.
-  std::optional<StationId> target = live_parent_station();
-  if (!target) target = parent_station();
-  if (!target) {
-    const StoredDoc* d = store_->doc(doc_key);
-    if (d != nullptr && d->manifest.home.valid() && d->manifest.home != self_) {
-      target = d->manifest.home;
-    } else {
-      return {Errc::unavailable, "no parent and no home reference for " + doc_key};
-    }
-  }
-  rpc_target_[req_id] = *target;
-  FetchReq req;
-  req.req_id = req_id;
-  req.doc_key = doc_key;
-  req.path.push_back(self_);
-  net::Message msg;
-  msg.from = self_;
-  msg.to = *target;
-  msg.type = kFetchReq;
-  msg.payload = req.encode();
-  return fabric_->send(std::move(msg));
-}
-
-Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
-                          std::optional<net::RpcOptions> options) {
-  const StoredDoc* d = store_->doc(doc_key);
-  if (d != nullptr && d->form != ObjectForm::reference) {
-    ++stats_.fetches_local;
-    cb(d->manifest, fabric_->now());
-    return Status::ok();
-  }
-  ++stats_.fetches_remote;
-  DistMetrics::get().pulls.inc();
-
-  net::RpcOptions opts = options.value_or(config_.rpc);
-  if (d != nullptr) {
-    // A local reference knows the document's size: give each attempt room
-    // for the transfer itself on the slowest link this cluster models.
-    opts.deadline += SimTime::seconds(
-        static_cast<double>(d->manifest.total_bytes()) * 8.0 / config_.min_bandwidth_bps);
-  }
-  std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-  std::string key = doc_key;
-  rpc_.track<DocManifest>(
-      req_id, opts,
-      [this, req_id, cb = std::move(cb)](Result<DocManifest> r, SimTime t) {
-        rpc_target_.erase(req_id);
-        if (!r.is_ok()) {
-          ++stats_.failed_fetches;
-          DistMetrics::get().failed_fetches.inc();
-        }
-        cb(std::move(r), t);
-      },
-      [this, req_id, key](std::uint32_t) { return send_fetch_req(req_id, key); });
-  Status s = send_fetch_req(req_id, doc_key);
-  if (!s.is_ok()) {
-    // Never left the station: unwind the tracker and report synchronously,
-    // preserving the historical "no route" contract.
-    rpc_.cancel(req_id);
-    rpc_target_.erase(req_id);
-    --stats_.fetches_remote;
-    ++stats_.failed_fetches;
-    DistMetrics::get().failed_fetches.inc();
-    return s;
-  }
-  return Status::ok();
-}
-
-void StationNode::on_fetch_req(const net::Message& msg) {
-  auto req = FetchReq::decode(msg.payload);
-  if (!req) return;
-  FetchReq& q = req.value();
-
-  const StoredDoc* d = store_->doc(q.doc_key);
-  if (d != nullptr && d->form != ObjectForm::reference) {
-    // Serve: relay the data back down the request path, store-and-forward.
-    ++stats_.serves;
-    DistMetrics::get().serves.inc();
-    FetchRsp rsp;
-    rsp.req_id = q.req_id;
-    rsp.manifest = d->manifest;
-    rsp.path = q.path;
-    StationId next = rsp.path.back();
-    rsp.path.pop_back();
-    net::Message out;
-    out.from = self_;
-    out.to = next;
-    out.type = kFetchRsp;
-    out.payload = rsp.encode();
-    out.wire_size = d->manifest.total_bytes();
-    (void)fabric_->send(std::move(out));
-    return;
-  }
-
-  // Not here: forward up the live chain (or probe the direct parent when
-  // the whole ancestry is suspected dead — only a true root gives up).
-  std::optional<StationId> up = live_parent_station();
-  if (!up) up = parent_station();
-  if (!up) {
-    // Root (or an effective root with its ancestry dead) without the
-    // document: report failure back to the originator.
-    FetchErr err;
-    err.req_id = q.req_id;
-    err.doc_key = q.doc_key;
-    err.code = Errc::not_found;
-    net::Message out;
-    out.from = self_;
-    out.to = q.path.front();
-    out.type = kFetchErr;
-    out.payload = err.encode();
-    (void)fabric_->send(std::move(out));
-    return;
-  }
-  ++stats_.forwards_up;
-  q.path.push_back(self_);
-  net::Message out;
-  out.from = self_;
-  out.to = *up;
-  out.type = kFetchReq;
-  out.payload = q.encode();
-  (void)fabric_->send(std::move(out));
-}
-
-void StationNode::on_fetch_rsp(const net::Message& msg) {
-  auto rsp = FetchRsp::decode(msg.payload);
-  if (!rsp) return;
-  FetchRsp& r = rsp.value();
-
-  if (r.path.empty()) {
-    // Final delivery to the originator. The store bookkeeping happens
-    // regardless of rpc state: a response that arrives after its request
-    // already resolved (a retry raced the original answer, or the attempt
-    // budget ran out while the data was in flight) still carries the
-    // document — wasting it would only force another full transfer.
-    const std::string& key = r.manifest.doc_key;
-    const StoredDoc* d = store_->doc(key);
-    if (d == nullptr) {
-      (void)store_->put_reference(r.manifest);
-      d = store_->doc(key);
-    }
-    std::uint64_t count = store_->note_remote_retrieval(key);
-    if (count >= config_.watermark && d != nullptr &&
-        d->form == ObjectForm::reference) {
-      // Watermark hit: copy the physical multimedia data locally.
-      Status s = store_->materialize(key, /*ephemeral=*/true);
-      if (s.is_ok()) {
-        ++stats_.replications;
-        DistMetrics::get().replications.inc();
-        obs::FlightRecorder::global().record(
-            obs::FlightKind::replication,
-            key + " retrieval " + std::to_string(count) + "/" +
-                std::to_string(config_.watermark) + ": materialized locally",
-            self_.value(), 0, fabric_->now());
-      }
-    }
-    // The callback fires exactly once: a duplicate is counted and ignored.
-    if (!rpc_.in_flight(r.req_id)) {
-      rpc_.note_duplicate();
-      return;
-    }
-    (void)rpc_.complete<DocManifest>(r.req_id, r.manifest);
-    return;
-  }
-
-  // Intermediate hop: relay downward (store-and-forward).
-  ++stats_.relays;
-  if (config_.relay_cache) {
-    const StoredDoc* d = store_->doc(r.manifest.doc_key);
-    if (d == nullptr) {
-      (void)store_->put_instance(r.manifest, /*ephemeral=*/true);
-    } else if (d->form == ObjectForm::reference) {
-      (void)store_->materialize(r.manifest.doc_key, /*ephemeral=*/true);
-    }
-  }
-  StationId next = r.path.back();
-  r.path.pop_back();
-  net::Message out;
-  out.from = self_;
-  out.to = next;
-  out.type = kFetchRsp;
-  out.payload = r.encode();
-  out.wire_size = r.manifest.total_bytes();
-  (void)fabric_->send(std::move(out));
-}
-
-void StationNode::on_fetch_err(const net::Message& msg) {
-  auto err = FetchErr::decode(msg.payload);
-  if (!err) return;
-  rpc_.fail(err.value().req_id,
-            Error{err.value().code,
-                  "document not found in tree: " + err.value().doc_key});
-}
-
-// --- blobs -------------------------------------------------------------------
-
-Status StationNode::fetch_blob(StationId holder, const std::string& doc_key,
-                               const BlobRef& blob, BlobFetchCallback cb,
-                               std::optional<net::RpcOptions> options) {
-  // Already resident (e.g. a previous fetch or a pushed lecture): no wire
-  // traffic needed.
-  if (store_->blobs().find(blob.digest).has_value()) {
-    ++stats_.fetches_local;
-    cb(blob, fabric_->now());
-    return Status::ok();
-  }
-  // A chunk pull pinned to the holder: an interrupted fetch resumes from the
-  // bitmap instead of restarting the whole transfer.
-  BlobPull pull;
-  pull.doc_key = doc_key;
-  pull.blob = blob;
-  pull.holder = holder;
-  pull.home = holder;
-  pull.base = options.value_or(config_.rpc);
-  pull.done = [cb = std::move(cb), blob](Status s, SimTime t) {
-    if (s.is_ok()) {
-      cb(blob, t);
-    } else {
-      cb(Result<BlobRef>(s.error()), t);
-    }
-  };
-  return pull_blob_chunks(std::move(pull));
 }
 
 std::uint64_t StationNode::end_lecture() {
@@ -1787,213 +322,6 @@ std::uint64_t StationNode::end_lecture() {
         self_.value(), 0, fabric_->now());
   }
   return reclaimed;
-}
-
-// --- observability plane -----------------------------------------------------
-
-obs::Snapshot StationNode::local_snapshot() const {
-  obs::Labels labels{{"station", std::to_string(self_.value())}};
-  obs::Snapshot snap;
-  auto counter = [&](const char* name, std::uint64_t v) {
-    obs::MetricSample s;
-    s.name = name;
-    s.labels = labels;
-    s.kind = obs::MetricSample::Kind::counter;
-    s.value = static_cast<double>(v);
-    snap.samples.push_back(std::move(s));
-  };
-  auto gauge = [&](const char* name, std::uint64_t v) {
-    obs::MetricSample s;
-    s.name = name;
-    s.labels = labels;
-    s.kind = obs::MetricSample::Kind::gauge;
-    s.value = static_cast<double>(v);
-    snap.samples.push_back(std::move(s));
-  };
-  const net::RpcStats rpc = rpc_.stats();
-  counter("station.chunk_duplicate_rx", stats_.chunk_duplicate_rx);
-  counter("station.chunk_rejects", stats_.chunk_rejects);
-  counter("station.chunk_repair_served", stats_.chunk_repair_served);
-  counter("station.chunk_retransmits", stats_.chunk_retransmits);
-  counter("station.chunk_wasted_bytes", stats_.chunk_wasted_bytes);
-  counter("station.chunks_received", stats_.chunks_received);
-  counter("station.chunks_sent", stats_.chunks_sent);
-  counter("station.demotions", stats_.demotions);
-  counter("station.failed_fetches", stats_.failed_fetches);
-  counter("station.failovers", stats_.failovers);
-  counter("station.fetches_local", stats_.fetches_local);
-  counter("station.fetches_remote", stats_.fetches_remote);
-  counter("station.forwards_up", stats_.forwards_up);
-  counter("station.pushes_forwarded", stats_.pushes_forwarded);
-  counter("station.pushes_received", stats_.pushes_received);
-  counter("station.relays", stats_.relays);
-  counter("station.replications", stats_.replications);
-  counter("station.resurrections", stats_.resurrections);
-  counter("station.rpc_exhausted", rpc.exhausted);
-  counter("station.rpc_retries", rpc.retries);
-  counter("station.rpc_timeouts", rpc.attempt_timeouts);
-  counter("station.serves", stats_.serves);
-  gauge("station.disk_bytes", store_->disk_bytes());
-  gauge("station.docs", store_->doc_count());
-  std::sort(snap.samples.begin(), snap.samples.end(),
-            [](const obs::MetricSample& a, const obs::MetricSample& b) {
-              return a.key() < b.key();
-            });
-  return snap;
-}
-
-Status StationNode::scrape_tree(SnapshotCallback cb) {
-  std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-  return start_scrape(req_id, std::nullopt, std::move(cb));
-}
-
-Status StationNode::send_scrape_rsp(StationId to, std::uint64_t req_id,
-                                    const obs::Snapshot& snap) {
-  net::Message out;
-  out.from = self_;
-  out.to = to;
-  out.type = net::kMetricsResponse;
-  Writer w;
-  w.u64(req_id);
-  obs::encode_snapshot(w, snap);
-  out.payload = w.take();
-  return fabric_->send(std::move(out));
-}
-
-Status StationNode::start_scrape(std::uint64_t req_id,
-                                 std::optional<StationId> reply_to,
-                                 SnapshotCallback cb) {
-  // Duplicate request for an in-flight merge — a retried scrape, or a
-  // station covered twice while tree views are momentarily inconsistent.
-  // Register the requester as an extra waiter: the merge in flight answers
-  // everyone when it completes. Fanning out again would clobber it.
-  auto in_flight = pending_scrapes_.find(req_id);
-  if (in_flight != pending_scrapes_.end()) {
-    if (reply_to) {
-      auto& waiters = in_flight->second.reply_to;
-      if (std::find(waiters.begin(), waiters.end(), *reply_to) == waiters.end()) {
-        waiters.push_back(*reply_to);
-      }
-    }
-    return Status::ok();
-  }
-  // A retry that crossed the completed merge's response on the wire: answer
-  // from the cache instead of re-running the whole subtree fan-out.
-  for (const auto& [done_id, snap] : recent_merges_) {
-    if (done_id == req_id) {
-      return reply_to ? send_scrape_rsp(*reply_to, req_id, snap) : Status::ok();
-    }
-  }
-
-  PendingScrape pending;
-  if (reply_to) pending.reply_to.push_back(*reply_to);
-  pending.cb = std::move(cb);
-  pending.acc = local_snapshot();
-
-  std::vector<StationId> targets;
-  if (position_ != 0) {
-    for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-      targets.push_back(tree_order()[child - 1]);
-    }
-  }
-  pending.outstanding = targets.size();
-  if (!targets.empty()) {
-    // A dead subtree must not hang the merge (and everything above it)
-    // forever: after a deadline scaled by how deep below us the slowest
-    // answer can originate, deliver what has arrived.
-    std::uint64_t height =
-        position_ == 0 ? 1 : subtree_height(position_, m_, tree_order().size());
-    pending.timer =
-        fabric_->schedule_on(self_, config_.rpc.deadline * static_cast<std::int64_t>(height + 1),
-                             [this, req_id] { on_scrape_deadline(req_id); });
-  }
-  pending_scrapes_[req_id] = std::move(pending);
-
-  for (StationId child : targets) {
-    net::Message msg;
-    msg.from = self_;
-    msg.to = child;
-    msg.type = net::kMetricsRequest;
-    Writer w;
-    w.u64(req_id);
-    msg.payload = w.take();
-    Status s = fabric_->send(std::move(msg));
-    if (!s.is_ok()) {
-      // An unreachable child still has to be accounted for, or the merge
-      // would wait forever. Its subtree is simply absent from the result.
-      --pending_scrapes_[req_id].outstanding;
-      WDOC_WARN("station %llu: scrape fan-out to %llu failed: %s",
-                static_cast<unsigned long long>(self_.value()),
-                static_cast<unsigned long long>(child.value()), s.message().c_str());
-    }
-  }
-  finish_scrape_if_done(req_id);
-  return Status::ok();
-}
-
-void StationNode::on_scrape_req(const net::Message& msg) {
-  Reader r(msg.payload);
-  auto req_id = r.u64();
-  if (!req_id) return;
-  (void)start_scrape(req_id.value(), msg.from, nullptr);
-}
-
-void StationNode::on_scrape_rsp(const net::Message& msg) {
-  Reader r(msg.payload);
-  auto req_id = r.u64();
-  if (!req_id) return;
-  auto it = pending_scrapes_.find(req_id.value());
-  if (it == pending_scrapes_.end()) {
-    // Merge already completed (deadline fired, or a duplicate child
-    // answer): counted and ignored.
-    rpc_.note_duplicate();
-    return;
-  }
-  auto child_snap = obs::decode_snapshot(r);
-  if (!child_snap) {
-    WDOC_WARN("station %llu: bad scrape response from %llu: %s",
-              static_cast<unsigned long long>(self_.value()),
-              static_cast<unsigned long long>(msg.from.value()),
-              child_snap.message().c_str());
-  } else {
-    obs::merge_snapshot(it->second.acc, child_snap.value());
-  }
-  if (it->second.outstanding > 0) --it->second.outstanding;
-  finish_scrape_if_done(req_id.value());
-}
-
-void StationNode::on_scrape_deadline(std::uint64_t req_id) {
-  auto it = pending_scrapes_.find(req_id);
-  if (it == pending_scrapes_.end()) return;
-  DistMetrics::get().scrape_partials.inc();
-  obs::FlightRecorder::global().record(
-      obs::FlightKind::scrape,
-      "scrape merge timed out with " + std::to_string(it->second.outstanding) +
-          " child subtree(s) missing: delivering partial merge",
-      self_.value(), req_id, fabric_->now());
-  it->second.outstanding = 0;
-  finish_scrape_if_done(req_id);
-}
-
-void StationNode::finish_scrape_if_done(std::uint64_t req_id) {
-  auto it = pending_scrapes_.find(req_id);
-  if (it == pending_scrapes_.end() || it->second.outstanding != 0) return;
-  PendingScrape done = std::move(it->second);
-  pending_scrapes_.erase(it);
-  if (done.timer) done.timer->store(true);
-  // Keep the merge around briefly for retries that crossed it on the wire.
-  recent_merges_.emplace_back(req_id, done.acc);
-  if (recent_merges_.size() > kRecentMerges) recent_merges_.pop_front();
-  for (StationId waiter : done.reply_to) {
-    (void)send_scrape_rsp(waiter, req_id, done.acc);
-  }
-  if (done.cb) {
-    obs::FlightRecorder::global().record(
-        obs::FlightKind::scrape,
-        "scrape merged " + std::to_string(done.acc.samples.size()) + " sample(s)",
-        self_.value(), 0, fabric_->now());
-    done.cb(std::move(done.acc), fabric_->now());
-  }
 }
 
 }  // namespace wdoc::dist

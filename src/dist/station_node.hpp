@@ -16,9 +16,16 @@
 //     chunk pull from the holder — a blob no larger than one chunk is a
 //     one-chunk pull, and a holder without the blob serves nothing.
 //
-// One path per job: the pipelined tree and the swarm share the push start
-// and begin-accept paths (stripe trees = 0 selects the pipelined tree), and
-// every chunk on the wire, pushed or pulled, is built by one helper.
+// One path per job: the pipelined tree and the swarm are one chunked push —
+// one begin message (ChunkBegin, whose stripe-tree count 0 selects the
+// pipelined tree), one step that opens a hop's children, one relay — and
+// every chunk on the wire, pushed or pulled, is built by one helper. The
+// whole-manifest store-and-forward push stays as the reference the chunked
+// push is measured against (ChunkConfig::enabled = false).
+//
+// The implementation is split by job: station_node.cpp (core and the
+// store-and-forward push), station_push.cpp, station_swarm.cpp,
+// station_pull.cpp and station_scrape.cpp.
 //
 // Every remote operation runs through the unified rpc lifecycle layer
 // (net/rpc.hpp): per-request deadlines, capped exponential backoff with
@@ -58,7 +65,8 @@ namespace wdoc::dist {
 // children as soon as it verifies, holding at most `window` unacked chunks
 // in flight per child (each one an rpc with a deadline and retry budget).
 // Pull-side repair requests at most `repair_batch` missing indices per
-// round. `enabled = false` falls back to whole-manifest store-and-forward.
+// round. `enabled = false` selects the whole-manifest store-and-forward
+// push, the reference the chunked push is measured against.
 struct ChunkConfig {
   bool enabled = true;
   std::uint32_t chunk_bytes = 256 * 1024;
@@ -177,12 +185,10 @@ class StationNode {
   // interior stations relay each verified chunk before the next arrives, so
   // makespan is about m * blob_time + depth * (2 * latency + chunk_time) +
   // (depth - 1) * m * chunk_time (DESIGN.md §4d) instead of
-  // depth * blob_time. Disabled, it is the historical whole-manifest
-  // store-and-forward push.
+  // depth * blob_time. Disabled, it is the whole-manifest store-and-forward
+  // push: unacked, each hop forwarding once the whole document arrived —
+  // the reference bench_prebroadcast and the pipelining test compare with.
   [[nodiscard]] Status broadcast_push(const DocManifest& manifest);
-  // The pre-chunking store-and-forward push, kept callable for A/B
-  // comparison (bench_prebroadcast, the pipelining regression test).
-  [[nodiscard]] Status broadcast_push_store_forward(const DocManifest& manifest);
 
   // "References to the instance are broadcasted and stored in many remote
   // stations" (§4): multicasts a reference record (manifest only, tiny wire
@@ -266,7 +272,6 @@ class StationNode {
   static constexpr const char* kChunkAck = net::kChunkAck;
   static constexpr const char* kChunkReq = net::kChunkReq;
   static constexpr const char* kChunkRsp = net::kChunkRsp;
-  static constexpr const char* kSwarmBegin = net::kSwarmBegin;
   static constexpr const char* kSwarmHave = net::kSwarmHave;
   static constexpr const char* kSwarmReq = net::kSwarmReq;
 
@@ -277,7 +282,7 @@ class StationNode {
   void on_fetch_req(const net::Message& msg);
   void on_fetch_rsp(const net::Message& msg);
   void on_fetch_err(const net::Message& msg);
-  // ChunkBegin or SwarmBegin: opens this hop of a push transfer.
+  // ChunkBegin: opens this hop of a push transfer (tree or swarm).
   void on_begin(const net::Message& msg);
   void on_chunk_data(const net::Message& msg);
   void on_chunk_ack(const net::Message& msg);
@@ -291,6 +296,16 @@ class StationNode {
   [[nodiscard]] Status send_fetch_req(std::uint64_t req_id, const std::string& doc_key);
   [[nodiscard]] Status send_push(StationId to, const DocManifest& manifest,
                                  obs::TraceContext trace = {});
+  // Sends `payload` to `to` as a `type` message, charged at `wire_size`
+  // (0: the payload plus framing) and carrying `trace`.
+  [[nodiscard]] Status send_message(StationId to, const char* type, net::Payload payload,
+                                    std::uint64_t wire_size = 0,
+                                    obs::TraceContext trace = {});
+  // Holds an ephemeral instance of `m` here: stored when absent,
+  // materialized when only a reference is held, left alone otherwise.
+  [[nodiscard]] Status hold_ephemeral(const DocManifest& m);
+  // Every non-empty blob of `m` is complete in the local BlobStore.
+  [[nodiscard]] bool blobs_complete(const DocManifest& m) const;
 
   // Failure detector: consecutive attempt timeouts per routed-to peer.
   void note_attempt_timeout(StationId target);
@@ -305,9 +320,9 @@ class StationNode {
     StationId child;
     std::deque<std::uint64_t> pending;                 // (blob_ordinal<<32)|index
     std::map<std::uint64_t, std::uint64_t> in_flight;  // chunk key -> rpc req_id
-    // Swarm mode: which stripe tree this cursor feeds (only that tree's
-    // chunks are relayed through it) and the child's 1-based position,
-    // for bitmap-based relay suppression. tree is 0 and child_pos unset
+    // The child's 1-based tree position and, in swarm mode, which stripe
+    // tree this cursor feeds (only that tree's chunks are relayed through
+    // it; the position drives bitmap-based relay suppression). tree is 0
     // on the single-tree pipeline.
     std::uint32_t tree = 0;
     std::uint64_t child_pos = 0;
@@ -380,21 +395,23 @@ class StationNode {
   // Root of a chunked push over `trees` stripe trees; 0 is the pipelined
   // tree.
   [[nodiscard]] Status start_push(const DocManifest& manifest, std::uint32_t trees);
-  // Registers the transfer and opens this hop of it: the pipelined tree's
-  // children (trees = 0) or the swarm state and stripe children. Delivers
-  // locally if every blob is already held.
+  // Registers the transfer and opens this hop of it: the swarm state when
+  // trees != 0, then the children. Delivers locally if every blob is
+  // already held.
   void open_transfer(std::uint64_t transfer_id, Transfer t, std::uint32_t trees);
-  // The encoded begin of a transfer — a ChunkBegin, or a SwarmBegin in swarm
-  // mode — as one refcounted buffer for a whole fan-out.
+  // The encoded ChunkBegin of a transfer (with its stripe count in swarm
+  // mode) as one refcounted buffer for a whole fan-out.
   [[nodiscard]] net::Payload begin_payload(std::uint64_t transfer_id,
                                            const Transfer& t) const;
   // Sends one begin to `to`, counted as a push (or a swarm begin).
   [[nodiscard]] Status send_begin(const Transfer& t, StationId to,
                                   const net::Payload& payload);
-  // Forwards the transfer's begin to this node's tree children and creates
-  // their cursors; enqueues every locally-held chunk (cut-through for the
-  // rest happens as chunks verify in on_chunk_data).
-  void open_transfer_children(std::uint64_t transfer_id, Transfer& t);
+  // Opens this hop's children over its (child, tree) edges — the tree's
+  // children on tree 0, or every stripe tree's children: one begin per
+  // distinct child, one cursor per edge holding every locally-held chunk of
+  // its tree, then one round-robin drain onto the uplink (cut-through for
+  // the rest happens as chunks verify in on_chunk_data).
+  void open_children(std::uint64_t transfer_id, Transfer& t);
   void enqueue_held_chunks(Transfer& t, ChildCursor& cursor);
   // Fills the cursor's window from its pending chunks.
   void pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor);
@@ -415,7 +432,6 @@ class StationNode {
                                                     std::uint32_t chunk_bytes,
                                                     std::uint64_t req_id,
                                                     std::uint64_t transfer_id);
-  [[nodiscard]] bool transfer_blobs_complete(const Transfer& t) const;
   void deliver_transfer(std::uint64_t transfer_id);
   void maybe_retire_transfer(std::uint64_t transfer_id);
 
@@ -424,9 +440,6 @@ class StationNode {
   // stripe parents and gossip neighbors, self bitmap seeded from the blob
   // store, and the first gossip tick.
   void init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees);
-  // Sends SwarmBegin to every stripe-tree child and creates one cursor per
-  // (child, tree); each cursor relays only its tree's chunks.
-  void open_swarm_children(std::uint64_t transfer_id, Transfer& t);
   void enqueue_swarm_send(std::uint64_t transfer_id, Transfer& t, SwarmSend entry);
   void swarm_pace_tick(std::uint64_t transfer_id);
   [[nodiscard]] SimTime swarm_pace_interval(const Transfer& t) const;
@@ -436,9 +449,12 @@ class StationNode {
   void on_swarm_tick(std::uint64_t transfer_id);
   void on_swarm_have(const net::Message& msg);
   void on_swarm_req(const net::Message& msg);
-  // Maps a sender-claimed position to its station id, validating it against
-  // the broadcast vector and the message's actual origin.
-  [[nodiscard]] bool position_matches(std::uint64_t position, StationId from) const;
+  // The swarm transfer a SwarmHave/SwarmReq from `from` names, or null when
+  // it is unknown here (counted as an orphan), not a swarm, of another
+  // chunk count, or the sender's claimed position is not `from`'s.
+  [[nodiscard]] Transfer* swarm_transfer_for(std::uint64_t transfer_id,
+                                             std::uint32_t total_chunks,
+                                             std::uint64_t position, StationId from);
 
   // --- chunked pull / repair ------------------------------------------------
   // One blob's pull loop: request up to repair_batch missing chunks per

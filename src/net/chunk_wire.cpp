@@ -15,6 +15,7 @@ Bytes ChunkBegin::encode() const {
   w.u64(transfer_id);
   w.u32(chunk_bytes);
   w.bytes(manifest);
+  if (trees != 0) w.u32(trees);
   return w.take();
 }
 
@@ -32,6 +33,15 @@ Result<ChunkBegin> ChunkBegin::decode(std::span<const std::uint8_t> b) {
   auto m = r.bytes();
   if (!m) return m.error();
   out.manifest = std::move(m).value();
+  if (r.remaining() == 0) return out;
+  auto trees = r.u32();
+  if (!trees || r.remaining() != 0) {
+    return Error{Errc::corrupt, "chunk begin: bad trailing stripe count"};
+  }
+  out.trees = trees.value();
+  if (out.trees == 0 || out.trees > kMaxWireTrees) {
+    return Error{Errc::corrupt, "chunk begin: implausible stripe count"};
+  }
   return out;
 }
 

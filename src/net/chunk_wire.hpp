@@ -1,7 +1,10 @@
 // Wire format of the chunked transfer protocol (push and repair paths).
 //
-//   ChunkBegin  opens a transfer: geometry plus an opaque manifest blob the
-//               distribution layer interprets; charged at structure size.
+//   ChunkBegin  opens a push transfer: geometry plus an opaque manifest blob
+//               the distribution layer interprets; charged at structure
+//               size. A swarm transfer appends its stripe-tree count after
+//               the manifest; a pipelined-tree begin ends at the manifest
+//               and pays no byte for swarm mode.
 //   ChunkData   one sequence-numbered, content-hashed chunk. req_id != 0
 //               requests a ChunkAck (windowed push under rpc deadlines);
 //               req_id == 0 is unacked repair/pull data riding ahead of its
@@ -44,11 +47,18 @@ inline constexpr const char* kChunkRsp = "dist.chunk_rsp";
 // Decode-time ceiling on declared chunk sizes (mirrors blob::kMaxChunkBytes
 // without reaching into the blob layer).
 inline constexpr std::uint32_t kMaxWireChunkBytes = 64u << 20;
+// Decode-time ceiling on a swarm begin's stripe-tree count.
+inline constexpr std::uint32_t kMaxWireTrees = 64;
 
+// Wire layout: u64 transfer_id | u32 chunk_bytes | bytes(manifest), then
+// u32 trees only when trees != 0. Decoding takes no trailing bytes as the
+// pipelined tree, exactly 4 as a stripe count in [1, kMaxWireTrees], and
+// anything else as corrupt.
 struct ChunkBegin {
   std::uint64_t transfer_id = 0;
   std::uint32_t chunk_bytes = 0;
   Bytes manifest;  // opaque to the transport; dist decodes a DocManifest
+  std::uint32_t trees = 0;  // swarm stripe trees; 0 = the pipelined tree
 
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<ChunkBegin> decode(std::span<const std::uint8_t> b);

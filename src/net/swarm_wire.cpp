@@ -1,7 +1,5 @@
 #include "net/swarm_wire.hpp"
 
-#include "net/chunk_wire.hpp"  // kMaxWireChunkBytes
-
 namespace wdoc::net {
 
 namespace {
@@ -11,37 +9,6 @@ namespace {
 }
 
 }  // namespace
-
-Bytes SwarmBegin::encode() const {
-  Writer w;
-  w.u64(transfer_id);
-  w.u32(chunk_bytes);
-  w.u32(trees);
-  w.bytes(manifest);
-  return w.take();
-}
-
-Result<SwarmBegin> SwarmBegin::decode(std::span<const std::uint8_t> b) {
-  Reader r(b);
-  SwarmBegin out;
-  auto id = r.u64();
-  auto cb = r.u32();
-  auto trees = r.u32();
-  if (!id || !cb || !trees) return Error{Errc::corrupt, "bad swarm begin"};
-  out.transfer_id = id.value();
-  out.chunk_bytes = cb.value();
-  out.trees = trees.value();
-  if (out.chunk_bytes == 0 || out.chunk_bytes > kMaxWireChunkBytes) {
-    return Error{Errc::corrupt, "swarm begin: implausible chunk size"};
-  }
-  if (out.trees == 0 || out.trees > kMaxWireTrees) {
-    return Error{Errc::corrupt, "swarm begin: implausible stripe count"};
-  }
-  auto m = r.bytes();
-  if (!m) return m.error();
-  out.manifest = std::move(m).value();
-  return out;
-}
 
 Bytes SwarmHave::encode() const {
   Writer w;

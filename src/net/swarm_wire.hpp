@@ -1,10 +1,10 @@
 // Wire format of the swarm distribution protocol (DESIGN.md §4f).
 //
-//   SwarmBegin  opens a swarm transfer: the chunk-pipeline geometry plus
-//               the stripe-tree count. Sent down EVERY stripe tree (the
-//               m-fold redundancy is the loss protection — duplicates are
-//               idempotent), separate from ChunkBegin so the single-tree
-//               pipeline's wire format stays byte-identical.
+// A swarm transfer opens with the push's own ChunkBegin (net/chunk_wire.hpp)
+// carrying the stripe-tree count after its manifest. It is sent down EVERY
+// stripe tree: the m-fold redundancy is the loss protection, and duplicates
+// are idempotent.
+//
 //   SwarmHave   periodic gossip: the sender's chunk-possession bitmap for
 //               one transfer, packed one bit per chunk into 64-bit words.
 //   SwarmReq    rarest-first pull: an explicit list of global chunk
@@ -28,24 +28,12 @@
 
 namespace wdoc::net {
 
-inline constexpr const char* kSwarmBegin = "swarm.begin";
 inline constexpr const char* kSwarmHave = "swarm.have";
 inline constexpr const char* kSwarmReq = "swarm.req";
 
-// Decode-time ceilings: chunks per transfer (a 64 MB-chunk, 16M-chunk
-// transfer is a petabyte — far past any lecture) and stripe trees.
+// Decode-time ceiling on chunks per transfer (a 64 MB-chunk, 16M-chunk
+// transfer is a petabyte — far past any lecture).
 inline constexpr std::uint32_t kMaxWireChunks = 1u << 24;
-inline constexpr std::uint32_t kMaxWireTrees = 64;
-
-struct SwarmBegin {
-  std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
-  std::uint32_t trees = 0;
-  Bytes manifest;  // opaque to the transport; dist decodes a DocManifest
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<SwarmBegin> decode(std::span<const std::uint8_t> b);
-};
 
 struct SwarmHave {
   std::uint64_t transfer_id = 0;

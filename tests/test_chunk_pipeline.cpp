@@ -18,39 +18,16 @@
 #include <utility>
 #include <vector>
 
-#include "dist/station_node.hpp"
-#include "net/sim_network.hpp"
+#include "sim_cluster.hpp"
 
 namespace wdoc::dist {
 namespace {
 
-constexpr net::StationLink kCampus1999{10e6, 10e6, SimTime::millis(15), 0.0};
-
-class Cluster {
+// The paper's campus profile (10 Mb/s links, 15 ms latency), seed 4242.
+class Cluster : public bench::SimCluster {
  public:
-  Cluster(std::size_t n, std::uint64_t m, StationConfig config) : net_(4242) {
-    for (std::size_t i = 0; i < n; ++i) {
-      StationId id = net_.add_station(kCampus1999);
-      ids_.push_back(id);
-      blobs_.push_back(std::make_unique<blob::BlobStore>());
-      stores_.push_back(std::make_unique<ObjectStore>(*blobs_.back()));
-      nodes_.push_back(std::make_unique<StationNode>(net_, id, *stores_.back(), config));
-      nodes_.back()->bind();
-    }
-    for (auto& node : nodes_) node->set_tree(ids_, m);
-  }
-
-  [[nodiscard]] StationNode& node(std::size_t i) { return *nodes_[i]; }
-  [[nodiscard]] ObjectStore& store(std::size_t i) { return *stores_[i]; }
-  [[nodiscard]] net::SimNetwork& net() { return net_; }
-  [[nodiscard]] std::size_t size() const { return ids_.size(); }
-
- private:
-  net::SimNetwork net_;
-  std::vector<StationId> ids_;
-  std::vector<std::unique_ptr<blob::BlobStore>> blobs_;
-  std::vector<std::unique_ptr<ObjectStore>> stores_;
-  std::vector<std::unique_ptr<StationNode>> nodes_;
+  Cluster(std::size_t n, std::uint64_t m, StationConfig config)
+      : SimCluster(n, m, bench::kCampusLink, config, 4242) {}
 };
 
 DocManifest ten_mb_lecture(StationId home) {
@@ -78,8 +55,7 @@ PushRun run_push(bool chunked) {
   cfg.chunk.enabled = chunked;
   Cluster c(15, 2, cfg);
   auto doc = ten_mb_lecture(c.node(0).id());
-  Status s = chunked ? c.node(0).broadcast_push(doc)
-                     : c.node(0).broadcast_push_store_forward(doc);
+  Status s = c.node(0).broadcast_push(doc);
   EXPECT_TRUE(s.is_ok()) << s.message();
   c.net().run();
   PushRun out;
@@ -146,7 +122,7 @@ TEST(ChunkPipeline, RootUplinkInterleavesChildren) {
   // root's 10 Mb/s uplink: ~0.21 s.
   const double chunk_s =
       static_cast<double>(cfg.chunk.chunk_bytes + 2 * net::kWireHeaderBytes) * 8.0 /
-      kCampus1999.up_bps;
+      bench::kCampusLink.up_bps;
   for (auto [n, m] : {std::pair<std::size_t, std::uint64_t>{3, 2}, {9, 8}}) {
     const std::vector<double> done = child_completions(n, m);
     ASSERT_EQ(done.size(), m);

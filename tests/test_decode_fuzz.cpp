@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "dist/doc_object.hpp"
+#include "dist/fetch_wire.hpp"
 #include "docmodel/annotation_ops.hpp"
 #include "docmodel/traversal.hpp"
 #include "http/parser.hpp"
@@ -95,22 +96,71 @@ TEST(DecodeFuzz, DocManifest) {
 }
 
 TEST(DecodeFuzz, ChunkBegin) {
-  net::ChunkBegin begin;
-  begin.transfer_id = 0xabcdef01;
-  begin.chunk_bytes = 256 * 1024;
-  begin.manifest = Bytes{1, 2, 3, 4, 5, 6, 7, 8};
+  net::ChunkBegin tree;
+  tree.transfer_id = 0xabcdef01;
+  tree.chunk_bytes = 256 * 1024;
+  tree.manifest = Bytes{1, 2, 3, 4, 5, 6, 7, 8};
+  net::ChunkBegin swarm = tree;
+  swarm.trees = 2;
   fuzz_decoder(
-      begin.encode(),
+      tree.encode(),
       [](const Bytes& b) { return net::ChunkBegin::decode(b).is_ok(); }, 10);
+  // The pipelined-tree begin is a prefix of the swarm begin, so dropping
+  // exactly the stripe count leaves a well-formed tree begin: no shorter
+  // buffer may decode as a swarm begin.
+  fuzz_decoder(
+      swarm.encode(),
+      [](const Bytes& b) {
+        auto r = net::ChunkBegin::decode(b);
+        return r.is_ok() && r.value().trees != 0;
+      },
+      16);
   // Zero and oversized chunk sizes are rejected even when well-formed.
   for (std::uint32_t bad : {0u, net::kMaxWireChunkBytes + 1, 0xffffffffu}) {
-    net::ChunkBegin evil = begin;
-    evil.chunk_bytes = bad;
-    EXPECT_FALSE(net::ChunkBegin::decode(evil.encode()).is_ok()) << bad;
+    for (net::ChunkBegin evil : {tree, swarm}) {
+      evil.chunk_bytes = bad;
+      EXPECT_FALSE(net::ChunkBegin::decode(evil.encode()).is_ok()) << bad;
+    }
   }
-  auto ok = net::ChunkBegin::decode(begin.encode()).expect("valid");
-  EXPECT_EQ(ok.transfer_id, begin.transfer_id);
-  EXPECT_EQ(ok.manifest, begin.manifest);
+  // So are stripe counts outside [1, kMaxWireTrees]: 0 can only appear
+  // spelled out, since encode() omits it.
+  net::ChunkBegin evil = swarm;
+  evil.trees = net::kMaxWireTrees + 1;
+  EXPECT_FALSE(net::ChunkBegin::decode(evil.encode()).is_ok());
+  Bytes zero_trees = tree.encode();
+  zero_trees.insert(zero_trees.end(), 4, 0);
+  EXPECT_FALSE(net::ChunkBegin::decode(zero_trees).is_ok());
+  // Trailing bytes other than exactly one u32 are corrupt.
+  for (std::size_t extra : {1u, 2u, 3u, 5u, 8u}) {
+    Bytes trailing = tree.encode();
+    trailing.insert(trailing.end(), extra, 1);
+    auto r = net::ChunkBegin::decode(trailing);
+    ASSERT_FALSE(r.is_ok()) << extra;
+    EXPECT_EQ(r.code(), Errc::corrupt) << extra;
+  }
+  auto ok = net::ChunkBegin::decode(tree.encode()).expect("valid");
+  EXPECT_EQ(ok.transfer_id, tree.transfer_id);
+  EXPECT_EQ(ok.manifest, tree.manifest);
+  EXPECT_EQ(ok.trees, 0u);
+  auto ok_swarm = net::ChunkBegin::decode(swarm.encode()).expect("valid");
+  EXPECT_EQ(ok_swarm.transfer_id, swarm.transfer_id);
+  EXPECT_EQ(ok_swarm.manifest, swarm.manifest);
+  EXPECT_EQ(ok_swarm.trees, swarm.trees);
+}
+
+TEST(ChunkBeginWire, TreeBeginEndsAtManifestSwarmAddsFourBytes) {
+  net::ChunkBegin begin;
+  begin.transfer_id = 0x0102030405060708;
+  begin.chunk_bytes = 64 * 1024;
+  begin.manifest = Bytes{9, 8, 7};
+  Writer w;
+  w.u64(begin.transfer_id);
+  w.u32(begin.chunk_bytes);
+  w.bytes(begin.manifest);
+  EXPECT_EQ(begin.encode(), w.take());
+  const std::size_t tree_size = begin.encode().size();
+  begin.trees = 2;
+  EXPECT_EQ(begin.encode().size(), tree_size + 4);
 }
 
 TEST(DecodeFuzz, ChunkData) {
@@ -207,32 +257,6 @@ TEST(DecodeFuzz, ChunkRsp) {
   EXPECT_EQ(ok.requested, rsp.requested);
 }
 
-TEST(DecodeFuzz, SwarmBegin) {
-  net::SwarmBegin begin;
-  begin.transfer_id = 0x5157a2f1;
-  begin.chunk_bytes = 256 * 1024;
-  begin.trees = 2;
-  begin.manifest = Bytes{1, 2, 3, 4, 5, 6, 7, 8};
-  fuzz_decoder(
-      begin.encode(),
-      [](const Bytes& b) { return net::SwarmBegin::decode(b).is_ok(); }, 16);
-  // Implausible geometry is rejected even when well-formed.
-  for (std::uint32_t bad : {0u, net::kMaxWireChunkBytes + 1}) {
-    net::SwarmBegin evil = begin;
-    evil.chunk_bytes = bad;
-    EXPECT_FALSE(net::SwarmBegin::decode(evil.encode()).is_ok()) << bad;
-  }
-  for (std::uint32_t bad : {0u, net::kMaxWireTrees + 1}) {
-    net::SwarmBegin evil = begin;
-    evil.trees = bad;
-    EXPECT_FALSE(net::SwarmBegin::decode(evil.encode()).is_ok()) << bad;
-  }
-  auto ok = net::SwarmBegin::decode(begin.encode()).expect("valid");
-  EXPECT_EQ(ok.transfer_id, begin.transfer_id);
-  EXPECT_EQ(ok.trees, begin.trees);
-  EXPECT_EQ(ok.manifest, begin.manifest);
-}
-
 TEST(DecodeFuzz, SwarmHave) {
   net::SwarmHave have;
   have.transfer_id = 42;
@@ -293,6 +317,79 @@ TEST(DecodeFuzz, SwarmReq) {
   EXPECT_EQ(ok.indices, req.indices);
   EXPECT_EQ(ok.have_words, req.have_words);
   EXPECT_EQ(ok.pending_words, req.pending_words);
+}
+
+TEST(DecodeFuzz, FetchReq) {
+  dist::FetchReq req;
+  req.req_id = 77;
+  req.doc_key = "http://mmu.edu/CS101";
+  req.path = {StationId{3}, StationId{1}, StationId{9}};
+  fuzz_decoder(
+      req.encode(), [](const Bytes& b) { return dist::FetchReq::decode(b).is_ok(); },
+      20);
+  // A path count larger than the remaining bytes must not drive a
+  // reservation.
+  Writer w;
+  w.u64(1);
+  w.str("k");
+  w.u32(0xffffffffu);
+  EXPECT_FALSE(dist::FetchReq::decode(w.take()).is_ok());
+  // A request always carries its originator, whom a server answers.
+  dist::FetchReq no_path = req;
+  no_path.path.clear();
+  EXPECT_FALSE(dist::FetchReq::decode(no_path.encode()).is_ok());
+  auto ok = dist::FetchReq::decode(req.encode()).expect("valid");
+  EXPECT_EQ(ok.req_id, req.req_id);
+  EXPECT_EQ(ok.doc_key, req.doc_key);
+  EXPECT_EQ(ok.path, req.path);
+}
+
+TEST(DecodeFuzz, FetchRsp) {
+  dist::FetchRsp rsp;
+  rsp.req_id = 78;
+  rsp.manifest.doc_key = "http://mmu.edu/CS101";
+  rsp.manifest.structure_bytes = 4096;
+  rsp.manifest.home = StationId{1};
+  dist::BlobRef ref;
+  ref.digest = digest128("fetch rsp blob");
+  ref.size = 1 << 20;
+  rsp.manifest.blobs.push_back(ref);
+  rsp.path = {StationId{5}, StationId{2}};
+  fuzz_decoder(
+      rsp.encode(), [](const Bytes& b) { return dist::FetchRsp::decode(b).is_ok(); },
+      21);
+  auto ok = dist::FetchRsp::decode(rsp.encode()).expect("valid");
+  EXPECT_EQ(ok.req_id, rsp.req_id);
+  EXPECT_EQ(ok.manifest, rsp.manifest);
+  EXPECT_EQ(ok.path, rsp.path);
+}
+
+TEST(DecodeFuzz, FetchErr) {
+  dist::FetchErr err;
+  err.req_id = 79;
+  err.doc_key = "http://mmu.edu/CS101";
+  err.code = Errc::not_found;
+  fuzz_decoder(
+      err.encode(), [](const Bytes& b) { return dist::FetchErr::decode(b).is_ok(); },
+      22);
+  // A code that is not a failure (ok, or past the last Errc) would complete
+  // a fetch with an error that reads as success: rejected as corrupt.
+  for (std::uint32_t bad : {0u, 15u, 0xffffffffu}) {
+    Writer w;
+    w.u64(err.req_id);
+    w.str(err.doc_key);
+    w.u32(bad);
+    auto r = dist::FetchErr::decode(w.take());
+    ASSERT_FALSE(r.is_ok()) << bad;
+    EXPECT_EQ(r.code(), Errc::corrupt) << bad;
+  }
+  for (Errc code : {Errc::not_found, Errc::out_of_space}) {
+    err.code = code;
+    auto ok = dist::FetchErr::decode(err.encode()).expect("valid");
+    EXPECT_EQ(ok.req_id, err.req_id);
+    EXPECT_EQ(ok.doc_key, err.doc_key);
+    EXPECT_EQ(ok.code, code);
+  }
 }
 
 TEST(DecodeFuzz, WalRecord) {

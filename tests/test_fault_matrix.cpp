@@ -10,7 +10,7 @@
 
 #include "common/hash.hpp"
 #include "dist/lecture.hpp"
-#include "net/sim_network.hpp"
+#include "sim_cluster.hpp"
 
 namespace wdoc::dist {
 namespace {
@@ -26,19 +26,12 @@ StationConfig tight_config() {
   return cfg;
 }
 
-struct Cluster {
+// A tree of n stations on default links under tight_config().
+class Cluster : public bench::SimCluster {
+ public:
   explicit Cluster(std::uint64_t seed, std::size_t n = 13, std::uint64_t m = 3,
                    StationConfig cfg = tight_config())
-      : net(seed) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(net.add_station());
-      blobs.push_back(std::make_unique<blob::BlobStore>());
-      stores.push_back(std::make_unique<ObjectStore>(*blobs.back()));
-      nodes.push_back(std::make_unique<StationNode>(net, ids.back(), *stores.back(), cfg));
-      nodes.back()->bind();
-    }
-    for (auto& node : nodes) node->set_tree(ids, m);
-  }
+      : SimCluster(n, m, {}, cfg, seed) {}
 
   // A document materialized only at the root; every other station holds a
   // reference, so a fetch anywhere else walks up the tree.
@@ -46,18 +39,12 @@ struct Cluster {
     DocManifest doc;
     doc.doc_key = key;
     doc.structure_bytes = 2000;
-    doc.home = ids[0];
-    stores[0]->put_instance(doc, /*ephemeral=*/false).expect("root instance");
-    for (std::size_t i = 1; i < stores.size(); ++i) {
-      stores[i]->put_reference(doc).expect("reference");
+    doc.home = id(0);
+    store(0).put_instance(doc, /*ephemeral=*/false).expect("root instance");
+    for (std::size_t i = 1; i < size(); ++i) {
+      store(i).put_reference(doc).expect("reference");
     }
   }
-
-  net::SimNetwork net;
-  std::vector<StationId> ids;
-  std::vector<std::unique_ptr<blob::BlobStore>> blobs;
-  std::vector<std::unique_ptr<ObjectStore>> stores;
-  std::vector<std::unique_ptr<StationNode>> nodes;
 };
 
 enum class Fault { none, loss_burst, partition, crash, crash_restart };
@@ -69,19 +56,19 @@ net::FaultPlan plan_for(Fault f, const Cluster& c) {
       break;
     case Fault::loss_burst:
       // Heavy burst on the root's links while the fetches fly.
-      plan.loss_bursts.push_back({c.ids[0], 0.5, SimTime::millis(1), SimTime::seconds(3)});
+      plan.loss_bursts.push_back({c.id(0), 0.5, SimTime::millis(1), SimTime::seconds(3)});
       break;
     case Fault::partition:
       // Isolate position 2's subtree: positions 2 and its children 5, 6, 7
       // (child(2, i, 3) = 3·1 + i + 1) from everything else.
       plan.partitions.push_back(
-          {{c.ids[1], c.ids[4], c.ids[5], c.ids[6]}, SimTime::millis(1), SimTime::seconds(2)});
+          {{c.id(1), c.id(4), c.id(5), c.id(6)}, SimTime::millis(1), SimTime::seconds(2)});
       break;
     case Fault::crash:
-      plan.crashes.push_back({c.ids[1], SimTime::millis(1), SimTime::zero()});
+      plan.crashes.push_back({c.id(1), SimTime::millis(1), SimTime::zero()});
       break;
     case Fault::crash_restart:
-      plan.crashes.push_back({c.ids[1], SimTime::millis(1), SimTime::seconds(2)});
+      plan.crashes.push_back({c.id(1), SimTime::millis(1), SimTime::seconds(2)});
       break;
   }
   return plan;
@@ -98,18 +85,18 @@ std::string run_scenario(Fault f, std::uint64_t seed, bool late_fault = false) {
   net::FaultPlan plan = plan_for(f, c);
   if (late_fault) {
     plan.loss_bursts.push_back(
-        {c.ids[0], 0.9, SimTime::seconds(1000), SimTime::seconds(2000)});
+        {c.id(0), 0.9, SimTime::seconds(1000), SimTime::seconds(2000)});
   }
   if (!plan.empty()) {
-    c.net.inject(plan).expect("inject");
+    c.net().inject(plan).expect("inject");
   }
 
   std::ostringstream journal;
   std::size_t issued = 0;
   std::size_t resolved = 0;
-  for (std::size_t i = 1; i < c.nodes.size(); ++i) {
-    StationNode* node = c.nodes[i].get();
-    c.net.schedule_after(SimTime::millis(10 + static_cast<std::int64_t>(i)), [&, i, node] {
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    StationNode* node = &c.node(i);
+    c.net().schedule_after(SimTime::millis(10 + static_cast<std::int64_t>(i)), [&, i, node] {
       Status s = node->fetch(key, [&, i](Result<DocManifest> r, SimTime t) {
         ++resolved;
         journal << "station=" << i << " code=" << errc_name(r.status().code())
@@ -119,14 +106,14 @@ std::string run_scenario(Fault f, std::uint64_t seed, bool late_fault = false) {
       ++issued;
     });
   }
-  c.net.run();
+  c.net().run();
 
   // Termination: every issued fetch resolved exactly once, nothing pending.
-  EXPECT_EQ(issued, c.nodes.size() - 1);
+  EXPECT_EQ(issued, c.size() - 1);
   EXPECT_EQ(resolved, issued);
-  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-    const net::RpcStats st = c.nodes[i]->rpc_stats();
-    EXPECT_EQ(c.nodes[i]->pending_rpcs(), 0u) << "station " << i;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const net::RpcStats st = c.node(i).rpc_stats();
+    EXPECT_EQ(c.node(i).pending_rpcs(), 0u) << "station " << i;
     EXPECT_EQ(st.started, st.completed + st.exhausted) << "station " << i;
   }
   return journal.str();
@@ -203,50 +190,50 @@ TEST(FaultAcceptance, OrphansReparentAndRepairConvergesUnderLossAndCrash) {
   DocManifest doc;
   doc.doc_key = "http://mmu.edu/CS501/lecture1";
   doc.structure_bytes = 5000;
-  doc.home = c.ids[0];
-  c.stores[0]->put_instance(doc, /*ephemeral=*/false).expect("instructor copy");
+  doc.home = c.id(0);
+  c.store(0).put_instance(doc, /*ephemeral=*/false).expect("instructor copy");
 
   std::vector<StationNode*> audience;
-  for (std::size_t i = 1; i < c.nodes.size(); ++i) audience.push_back(c.nodes[i].get());
-  LectureSession lecture(LectureId{1}, doc, *c.nodes[0], audience);
+  for (std::size_t i = 1; i < c.size(); ++i) audience.push_back(&c.node(i));
+  LectureSession lecture(LectureId{1}, doc, c.node(0), audience);
 
   net::FaultPlan plan;
-  plan.loss_bursts.push_back({c.ids[0], 0.2, SimTime::millis(1), SimTime::seconds(20)});
+  plan.loss_bursts.push_back({c.id(0), 0.2, SimTime::millis(1), SimTime::seconds(20)});
   // Station index 1 holds tree position 2 — an interior node whose children
   // sit at positions 5, 6, 7 (station indices 4, 5, 6). It dies mid-push
   // and never comes back.
-  plan.crashes.push_back({c.ids[1], SimTime::millis(2), SimTime::zero()});
-  c.net.inject(plan).expect("inject");
+  plan.crashes.push_back({c.id(1), SimTime::millis(2), SimTime::zero()});
+  c.net().inject(plan).expect("inject");
 
   ASSERT_TRUE(lecture.begin().is_ok());
-  c.net.run();
+  c.net().run();
 
   // Repair until every *online* audience member holds the lecture.
   auto online_converged = [&] {
-    for (std::size_t i = 1; i < c.nodes.size(); ++i) {
-      if (!c.nodes[i]->online()) continue;
-      if (!c.stores[i]->has_materialized(doc.doc_key)) return false;
+    for (std::size_t i = 1; i < c.size(); ++i) {
+      if (!c.node(i).online()) continue;
+      if (!c.store(i).has_materialized(doc.doc_key)) return false;
     }
     return true;
   };
   int rounds = 0;
   while (!online_converged() && rounds < 60) {
     ASSERT_TRUE(lecture.repair().is_ok());
-    c.net.run();
+    c.net().run();
     ++rounds;
   }
   EXPECT_TRUE(online_converged()) << "repair did not converge in " << rounds << " rounds";
 
   // The crashed interior node is offline; its children noticed and
   // reparented to the grandparent — the root.
-  EXPECT_FALSE(c.nodes[1]->online());
+  EXPECT_FALSE(c.node(1).online());
   std::uint64_t failovers = 0;
   std::uint64_t orphans_reparented = 0;
-  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-    failovers += c.nodes[i]->stats().failovers;
-    if (i >= 4 && i <= 6 && c.nodes[i]->is_declared_dead(c.ids[1])) {
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    failovers += c.node(i).stats().failovers;
+    if (i >= 4 && i <= 6 && c.node(i).is_declared_dead(c.id(1))) {
       ++orphans_reparented;
-      EXPECT_EQ(c.nodes[i]->live_parent_station(), c.ids[0]) << "station " << i;
+      EXPECT_EQ(c.node(i).live_parent_station(), c.id(0)) << "station " << i;
     }
   }
   EXPECT_GE(failovers, 1u);
@@ -254,9 +241,9 @@ TEST(FaultAcceptance, OrphansReparentAndRepairConvergesUnderLossAndCrash) {
 
   // Lifecycle accounting: every rpc either completed or exhausted; every
   // retry was counted; nothing is still pending after the queue drained.
-  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-    const net::RpcStats st = c.nodes[i]->rpc_stats();
-    EXPECT_EQ(c.nodes[i]->pending_rpcs(), 0u) << "station " << i;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const net::RpcStats st = c.node(i).rpc_stats();
+    EXPECT_EQ(c.node(i).pending_rpcs(), 0u) << "station " << i;
     EXPECT_EQ(st.started, st.completed + st.exhausted) << "station " << i;
     EXPECT_GE(st.attempt_timeouts, st.retries) << "station " << i;
   }
@@ -305,39 +292,39 @@ struct ChunkDrillResult {
 
 ChunkDrillResult run_chunk_drill(std::uint64_t seed) {
   Cluster c(seed, 13, 3, chunk_drill_config());
-  DocManifest doc = chunk_drill_lecture(c.ids[0]);
-  c.stores[0]->put_instance(doc, /*ephemeral=*/false).expect("instructor copy");
+  DocManifest doc = chunk_drill_lecture(c.id(0));
+  c.store(0).put_instance(doc, /*ephemeral=*/false).expect("instructor copy");
 
   std::vector<StationNode*> audience;
-  for (std::size_t i = 1; i < c.nodes.size(); ++i) audience.push_back(c.nodes[i].get());
-  LectureSession lecture(LectureId{1}, doc, *c.nodes[0], audience);
+  for (std::size_t i = 1; i < c.size(); ++i) audience.push_back(&c.node(i));
+  LectureSession lecture(LectureId{1}, doc, c.node(0), audience);
 
   net::FaultPlan plan;
-  plan.loss_bursts.push_back({c.ids[0], 0.2, SimTime::millis(1), SimTime::seconds(20)});
-  plan.crashes.push_back({c.ids[1], SimTime::millis(2), SimTime::zero()});
-  c.net.inject(plan).expect("inject");
+  plan.loss_bursts.push_back({c.id(0), 0.2, SimTime::millis(1), SimTime::seconds(20)});
+  plan.crashes.push_back({c.id(1), SimTime::millis(2), SimTime::zero()});
+  c.net().inject(plan).expect("inject");
 
   EXPECT_TRUE(lecture.begin().is_ok());
-  c.net.run();
+  c.net().run();
 
   auto online_converged = [&] {
-    for (std::size_t i = 1; i < c.nodes.size(); ++i) {
-      if (!c.nodes[i]->online()) continue;
-      if (!c.stores[i]->has_materialized(doc.doc_key)) return false;
+    for (std::size_t i = 1; i < c.size(); ++i) {
+      if (!c.node(i).online()) continue;
+      if (!c.store(i).has_materialized(doc.doc_key)) return false;
     }
     return true;
   };
   ChunkDrillResult out;
   while (!online_converged() && out.rounds < 60) {
     EXPECT_TRUE(lecture.repair().is_ok());
-    c.net.run();
+    c.net().run();
     ++out.rounds;
   }
   out.converged = online_converged();
 
   std::ostringstream journal;
-  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-    const NodeStats& st = c.nodes[i]->stats();
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const NodeStats& st = c.node(i).stats();
     out.chunk_bytes_total += st.chunk_bytes_sent;
     out.retransmits += st.chunk_retransmits;
     out.repair_served += st.chunk_repair_served;
@@ -346,15 +333,15 @@ ChunkDrillResult run_chunk_drill(std::uint64_t seed) {
             << " rej=" << st.chunk_rejects << " rtx=" << st.chunk_retransmits
             << " repair=" << st.chunk_repair_served
             << " bytes=" << st.chunk_bytes_sent
-            << " mat=" << c.stores[i]->has_materialized(doc.doc_key) << "\n";
+            << " mat=" << c.store(i).has_materialized(doc.doc_key) << "\n";
   }
-  journal << "rounds=" << out.rounds << " t=" << c.net.now().as_micros() << "\n";
+  journal << "rounds=" << out.rounds << " t=" << c.net().now().as_micros() << "\n";
   out.journal = journal.str();
 
   // Lifecycle accounting still holds under the chunked protocol.
-  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-    const net::RpcStats st = c.nodes[i]->rpc_stats();
-    EXPECT_EQ(c.nodes[i]->pending_rpcs(), 0u) << "station " << i;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const net::RpcStats st = c.node(i).rpc_stats();
+    EXPECT_EQ(c.node(i).pending_rpcs(), 0u) << "station " << i;
     EXPECT_EQ(st.started, st.completed + st.exhausted) << "station " << i;
   }
   return out;
@@ -393,31 +380,12 @@ TEST(FaultAcceptance, ChunkedDrillSameSeedRunsAreByteIdentical) {
 // the hole and the rarest-first pull path must refill it from peers with
 // spare uplink, costing less than 10% extra makespan over a clean run.
 
-constexpr net::StationLink kSwarmCampus{10e6, 10e6, SimTime::millis(15), 0.0};
-
-struct SwarmDrillCluster {
-  SwarmDrillCluster(std::size_t n, std::uint64_t seed) : net(seed) {
-    StationConfig cfg;
-    cfg.swarm.enabled = true;
-    cfg.swarm.trees = 2;
-    net.reserve_stations(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(net.add_station(kSwarmCampus));
-      blobs.push_back(std::make_unique<blob::BlobStore>());
-      stores.push_back(std::make_unique<ObjectStore>(*blobs.back()));
-      nodes.push_back(std::make_unique<StationNode>(net, ids.back(), *stores.back(), cfg));
-      nodes.back()->bind();
-    }
-    auto shared = std::make_shared<const std::vector<StationId>>(ids);
-    for (auto& node : nodes) node->set_tree(shared, 2);
-  }
-
-  net::SimNetwork net;
-  std::vector<StationId> ids;
-  std::vector<std::unique_ptr<blob::BlobStore>> blobs;
-  std::vector<std::unique_ptr<ObjectStore>> stores;
-  std::vector<std::unique_ptr<StationNode>> nodes;
-};
+StationConfig swarm_drill_config() {
+  StationConfig cfg;
+  cfg.swarm.enabled = true;
+  cfg.swarm.trees = 2;
+  return cfg;
+}
 
 struct SwarmDrillResult {
   double makespan = 0;  // max last_delivery over online stations
@@ -428,48 +396,48 @@ struct SwarmDrillResult {
 };
 
 SwarmDrillResult run_swarm_drill(std::uint64_t seed, bool crash_interior) {
-  SwarmDrillCluster c(63, seed);
+  bench::SimCluster c(63, 2, bench::kCampusLink, swarm_drill_config(), seed);
   DocManifest doc;
   doc.doc_key = "http://mmu.edu/CS503/swarm-fault-drill";
   doc.structure_bytes = 5000;
-  doc.home = c.ids[0];
+  doc.home = c.id(0);
   BlobRef video;
   video.digest = digest128("swarm fault drill video");
   video.size = 10 << 20;
   video.type = blob::MediaType::video;
   doc.blobs.push_back(video);
-  c.stores[0]->put_instance(doc, /*ephemeral=*/false).expect("instructor copy");
+  c.store(0).put_instance(doc, /*ephemeral=*/false).expect("instructor copy");
 
   if (crash_interior) {
     // Station index 8 holds tree position 9 — interior in stripe tree 0
     // with a multi-station subtree below it. It dies two seconds into the
     // push (roughly a quarter of the stripe delivered) and never returns.
     net::FaultPlan plan;
-    plan.crashes.push_back({c.ids[8], SimTime::seconds(2), SimTime::zero()});
-    c.net.inject(plan).expect("inject");
+    plan.crashes.push_back({c.id(8), SimTime::seconds(2), SimTime::zero()});
+    c.net().inject(plan).expect("inject");
   }
 
-  EXPECT_TRUE(c.nodes[0]->broadcast_push(doc).is_ok());
-  c.net.run();
+  EXPECT_TRUE(c.node(0).broadcast_push(doc).is_ok());
+  c.net().run();
 
   SwarmDrillResult out;
   std::ostringstream journal;
-  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-    const NodeStats& st = c.nodes[i]->stats();
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const NodeStats& st = c.node(i).stats();
     out.served += st.swarm_chunks_served;
     out.duplicates += st.chunk_duplicate_rx;
-    if (!c.nodes[i]->online()) continue;
-    if (!c.stores[i]->has_materialized(doc.doc_key)) {
+    if (!c.node(i).online()) continue;
+    if (!c.store(i).has_materialized(doc.doc_key)) {
       out.all_online_materialized = false;
     }
-    out.makespan = std::max(out.makespan, c.nodes[i]->last_delivery().as_seconds());
+    out.makespan = std::max(out.makespan, c.node(i).last_delivery().as_seconds());
     journal << "station=" << i << " recv=" << st.chunks_received
             << " sent=" << st.chunks_sent << " dup=" << st.chunk_duplicate_rx
             << " served=" << st.swarm_chunks_served
             << " reqs=" << st.swarm_reqs_sent
-            << " t=" << c.nodes[i]->last_delivery().as_micros() << "\n";
+            << " t=" << c.node(i).last_delivery().as_micros() << "\n";
   }
-  journal << "end=" << c.net.now().as_micros() << "\n";
+  journal << "end=" << c.net().now().as_micros() << "\n";
   out.journal = journal.str();
   return out;
 }

@@ -6,6 +6,7 @@
 #include "dist/admin_node.hpp"
 #include "net/sim_network.hpp"
 #include "obs/trace_export.hpp"
+#include "sim_cluster.hpp"
 
 namespace wdoc::dist {
 namespace {
@@ -69,34 +70,20 @@ std::uint64_t stat_by_name(const StationNode& node, std::string_view name) {
   return 0;
 }
 
-struct Cluster {
+// N stations on default links, wired into an m-ary tree.
+class Cluster : public bench::SimCluster {
+ public:
   explicit Cluster(std::size_t n, std::uint64_t m, std::uint64_t seed = 7)
-      : net(seed) {
-    std::vector<StationId> vec;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto id = net.add_station();
-      vec.push_back(id);
-      blobs.push_back(std::make_unique<blob::BlobStore>());
-      stores.push_back(std::make_unique<ObjectStore>(*blobs.back()));
-      nodes.push_back(std::make_unique<StationNode>(net, id, *stores.back()));
-      nodes.back()->bind();
-    }
-    for (auto& node : nodes) node->set_tree(vec, m);
-  }
+      : SimCluster(n, m, {}, {}, seed) {}
 
   void push_lecture(const std::string& key) {
     DocManifest doc;
     doc.doc_key = key;
     doc.structure_bytes = 5000;
-    doc.home = nodes[0]->id();
-    ASSERT_TRUE(nodes[0]->broadcast_push(doc).is_ok());
-    net.run();
+    doc.home = id(0);
+    ASSERT_TRUE(node(0).broadcast_push(doc).is_ok());
+    net().run();
   }
-
-  net::SimNetwork net;
-  std::vector<std::unique_ptr<blob::BlobStore>> blobs;
-  std::vector<std::unique_ptr<ObjectStore>> stores;
-  std::vector<std::unique_ptr<StationNode>> nodes;
 };
 
 TEST(ScrapeTree, MergedSnapshotMatchesEveryStationsLocalCounters) {
@@ -105,28 +92,28 @@ TEST(ScrapeTree, MergedSnapshotMatchesEveryStationsLocalCounters) {
 
   obs::Snapshot merged;
   bool done = false;
-  ASSERT_TRUE(c.nodes[0]
-                  ->scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
+  ASSERT_TRUE(c.node(0)
+                  .scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
                     ASSERT_TRUE(r.is_ok());
                     merged = std::move(r).value();
                     done = true;
                   })
                   .is_ok());
-  c.net.run();
+  c.net().run();
   ASSERT_TRUE(done);
 
   // One sample per (counter+gauge, station).
   EXPECT_EQ(merged.samples.size(), kSamplesPerStation * 13u);
-  for (const auto& node : c.nodes) {
+  for (std::size_t i = 0; i < c.size(); ++i) {
     for (const char* name : kCounters) {
-      EXPECT_EQ(station_sample(merged, name, node->id()),
-                static_cast<double>(stat_by_name(*node, name)))
-          << name << " station " << node->id().value();
+      EXPECT_EQ(station_sample(merged, name, c.id(i)),
+                static_cast<double>(stat_by_name(c.node(i), name)))
+          << name << " station " << c.id(i).value();
     }
   }
   // And the cluster totals are plain sums of the per-station samples.
   std::uint64_t pushes = 0;
-  for (const auto& node : c.nodes) pushes += node->stats().pushes_received;
+  for (std::size_t i = 0; i < c.size(); ++i) pushes += c.node(i).stats().pushes_received;
   EXPECT_GT(pushes, 0u);
   EXPECT_EQ(obs::counter_total(merged, "station.pushes_received"),
             static_cast<double>(pushes));
@@ -136,16 +123,16 @@ TEST(ScrapeTree, LeafScrapeReturnsOnlyItself) {
   Cluster c(5, 2);
   obs::Snapshot merged;
   // Node 4 (position 5) is a leaf: its subtree is itself.
-  ASSERT_TRUE(c.nodes[4]
-                  ->scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
+  ASSERT_TRUE(c.node(4)
+                  .scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
                     ASSERT_TRUE(r.is_ok());
                     merged = std::move(r).value();
                   })
                   .is_ok());
-  c.net.run();
+  c.net().run();
   EXPECT_EQ(merged.samples.size(), kSamplesPerStation);
   for (const obs::MetricSample& s : merged.samples) {
-    EXPECT_EQ(s.labels.at("station"), std::to_string(c.nodes[4]->id().value()));
+    EXPECT_EQ(s.labels.at("station"), std::to_string(c.id(4).value()));
   }
 }
 
@@ -153,13 +140,13 @@ TEST(ScrapeTree, SnapshotRendersWithExistingExporters) {
   Cluster c(4, 2);
   c.push_lecture("http://mmu.edu/CS101/lecture1");
   obs::Snapshot merged;
-  ASSERT_TRUE(c.nodes[0]
-                  ->scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
+  ASSERT_TRUE(c.node(0)
+                  .scrape_tree([&](Result<obs::Snapshot> r, SimTime) {
                     ASSERT_TRUE(r.is_ok());
                     merged = std::move(r).value();
                   })
                   .is_ok());
-  c.net.run();
+  c.net().run();
   std::string table = obs::to_table(merged);
   EXPECT_NE(table.find("station.pushes_received"), std::string::npos);
   std::string json = obs::to_json(merged);

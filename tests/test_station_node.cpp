@@ -3,8 +3,7 @@
 // post-lecture migration, and failure paths.
 #include <gtest/gtest.h>
 
-#include "dist/station_node.hpp"
-#include "net/sim_network.hpp"
+#include "sim_cluster.hpp"
 
 namespace wdoc::dist {
 namespace {
@@ -22,34 +21,9 @@ DocManifest lecture_manifest(StationId home) {
   return m;
 }
 
-// A cluster of N stations on one simulator, wired into an m-ary tree.
-class Cluster {
- public:
-  Cluster(std::size_t n, std::uint64_t m, StationConfig config = {}) : net_(42) {
-    for (std::size_t i = 0; i < n; ++i) {
-      StationId id = net_.add_station();
-      ids_.push_back(id);
-      blobs_.push_back(std::make_unique<blob::BlobStore>());
-      stores_.push_back(std::make_unique<ObjectStore>(*blobs_.back()));
-      nodes_.push_back(std::make_unique<StationNode>(net_, id, *stores_.back(), config));
-      nodes_.back()->bind();
-    }
-    for (auto& node : nodes_) node->set_tree(ids_, m);
-  }
-
-  [[nodiscard]] StationNode& node(std::size_t i) { return *nodes_[i]; }
-  [[nodiscard]] ObjectStore& store(std::size_t i) { return *stores_[i]; }
-  [[nodiscard]] net::SimNetwork& net() { return net_; }
-  [[nodiscard]] StationId id(std::size_t i) const { return ids_[i]; }
-  [[nodiscard]] std::size_t size() const { return ids_.size(); }
-
- private:
-  net::SimNetwork net_;
-  std::vector<StationId> ids_;
-  std::vector<std::unique_ptr<blob::BlobStore>> blobs_;
-  std::vector<std::unique_ptr<ObjectStore>> stores_;
-  std::vector<std::unique_ptr<StationNode>> nodes_;
-};
+// N stations on one simulator (default links, seed 42), wired into an
+// m-ary tree.
+using Cluster = bench::SimCluster;
 
 TEST(StationNode, TreePositionsDerivedFromBroadcastVector) {
   Cluster c(7, 2);
@@ -137,7 +111,7 @@ TEST(StationNode, RelayCacheRetainsAtIntermediates) {
   StationConfig config;
   config.relay_cache = true;
   config.watermark = 1000;  // disable requester replication
-  Cluster c(13, 3, config);
+  Cluster c(13, 3, {}, config);
   auto manifest = lecture_manifest(c.id(0));
   ASSERT_TRUE(c.store(0).put_instance(manifest, false).is_ok());
   ASSERT_TRUE(c.node(12).fetch(manifest.doc_key, [](Result<DocManifest>, SimTime) {})
@@ -149,7 +123,7 @@ TEST(StationNode, RelayCacheRetainsAtIntermediates) {
 TEST(StationNode, WatermarkTriggersReplication) {
   StationConfig config;
   config.watermark = 3;
-  Cluster c(4, 3, config);
+  Cluster c(4, 3, {}, config);
   auto manifest = lecture_manifest(c.id(0));
   ASSERT_TRUE(c.store(0).put_instance(manifest, false).is_ok());
 
@@ -282,7 +256,7 @@ TEST(StationNode, SmallBlobFetchIsOneChunkPull) {
   for (bool chunked : {true, false}) {
     StationConfig cfg;
     cfg.chunk.enabled = chunked;
-    Cluster c(2, 2, cfg);
+    Cluster c(2, 2, {}, cfg);
     auto manifest = lecture_manifest(c.id(0));
     manifest.blobs[0].size = 10 << 10;
     ASSERT_TRUE(c.store(0).put_instance(manifest, false).is_ok());

@@ -7,8 +7,7 @@
 
 #include <set>
 
-#include "dist/station_node.hpp"
-#include "net/sim_network.hpp"
+#include "sim_cluster.hpp"
 #include "swarm/gossip.hpp"
 #include "swarm/scheduler.hpp"
 #include "swarm/stripe_tree.hpp"
@@ -230,36 +229,11 @@ TEST(Scheduler, MarkHaveClearsFlightAndTracksCompletion) {
 namespace wdoc::dist {
 namespace {
 
-constexpr net::StationLink kCampus1999{10e6, 10e6, SimTime::millis(15), 0.0};
-
-class Cluster {
+// The paper's campus profile (10 Mb/s links, 15 ms latency).
+class Cluster : public bench::SimCluster {
  public:
   Cluster(std::size_t n, std::uint64_t m, StationConfig config, std::uint64_t seed = 4242)
-      : net_(seed) {
-    net_.reserve_stations(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      StationId id = net_.add_station(kCampus1999);
-      ids_.push_back(id);
-      blobs_.push_back(std::make_unique<blob::BlobStore>());
-      stores_.push_back(std::make_unique<ObjectStore>(*blobs_.back()));
-      nodes_.push_back(std::make_unique<StationNode>(net_, id, *stores_.back(), config));
-      nodes_.back()->bind();
-    }
-    auto shared = std::make_shared<const std::vector<StationId>>(ids_);
-    for (auto& node : nodes_) node->set_tree(shared, m);
-  }
-
-  [[nodiscard]] StationNode& node(std::size_t i) { return *nodes_[i]; }
-  [[nodiscard]] ObjectStore& store(std::size_t i) { return *stores_[i]; }
-  [[nodiscard]] net::SimNetwork& net() { return net_; }
-  [[nodiscard]] std::size_t size() const { return ids_.size(); }
-
- private:
-  net::SimNetwork net_;
-  std::vector<StationId> ids_;
-  std::vector<std::unique_ptr<blob::BlobStore>> blobs_;
-  std::vector<std::unique_ptr<ObjectStore>> stores_;
-  std::vector<std::unique_ptr<StationNode>> nodes_;
+      : SimCluster(n, m, bench::kCampusLink, config, seed) {}
 };
 
 DocManifest ten_mb_lecture(StationId home) {
