@@ -6,9 +6,12 @@
 // to show the same protocol code off the simulator).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
@@ -68,5 +71,23 @@ class Fabric {
     return {Errc::unsupported, "fault injection not supported on this fabric"};
   }
 };
+
+// Both fabrics keep their timers in a binary heap, and a cancelled timer
+// would otherwise stay there until it is due. RPC deadlines are long and
+// mostly resolve early, so such a heap grows with the work done, not with
+// the live timers. Once `heap` has doubled since the last sweep
+// (`sweep_at`), this drops every entry whose cancel flag is set and
+// rebuilds the heap: amortized O(1) per push, and the heap never holds more
+// than twice its peak live size (or kReclaimFloor entries). Live entries
+// keep their pop order, because `later` is a strict total order.
+inline constexpr std::size_t kReclaimFloor = 64;
+
+template <class Entry, class Later>
+void reclaim_cancelled(std::vector<Entry>& heap, std::size_t& sweep_at, Later later) {
+  if (heap.size() < sweep_at) return;
+  std::erase_if(heap, [](const Entry& e) { return e.cancel && e.cancel->load(); });
+  std::make_heap(heap.begin(), heap.end(), later);
+  sweep_at = std::max(kReclaimFloor, 2 * heap.size());
+}
 
 }  // namespace wdoc::net

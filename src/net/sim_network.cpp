@@ -179,6 +179,7 @@ void SimNetwork::deliver(Event& ev) {
 void SimNetwork::push_event(Event ev) {
   events_.push_back(std::move(ev));
   std::push_heap(events_.begin(), events_.end(), EventLater{});
+  reclaim_cancelled(events_, sweep_at_, EventLater{});
   note_queue_depth();
 }
 
@@ -218,6 +219,7 @@ void SimNetwork::schedule_bulk(std::vector<std::pair<SimTime, std::function<void
   // pop order depends on — (at, seq) is a strict total order, so the run
   // stays byte-identical to individual pushes.
   std::make_heap(events_.begin(), events_.end(), EventLater{});
+  reclaim_cancelled(events_, sweep_at_, EventLater{});
   note_queue_depth();
 }
 

@@ -14,6 +14,14 @@
 // so N=10,000-station runs with millions of in-flight events stay
 // O(log n) per event with tight constants.
 //
+// Memory: a cancelled timer (an rpc deadline whose call was answered) is
+// skipped when popped, but it would sit in the heap until its deadline.
+// Deadlines outlast the pushes they guard, so once the heap has doubled
+// since the last sweep, every cancelled event is dropped and the heap is
+// rebuilt (reclaim_cancelled in fabric.hpp). The heap then stays O(live
+// events), and since (at, seq) is a strict total order the sweep cannot
+// change which event pops next.
+//
 // Determinism: same seed + same call sequence -> identical delivery order;
 // ties in time break by event sequence number (a strict total order, so
 // heap order is reproducible bit-for-bit across runs and platforms).
@@ -126,6 +134,8 @@ class SimNetwork final : public Fabric {
   [[nodiscard]] const StationStats& stats(StationId id) const;
   [[nodiscard]] std::uint64_t total_bytes_on_wire() const { return total_bytes_; }
   [[nodiscard]] std::uint64_t total_messages() const { return total_messages_; }
+  // Events in the queue, cancelled timers not yet reclaimed included.
+  [[nodiscard]] std::size_t pending_events() const { return events_.size(); }
   void reset_stats();
 
  private:
@@ -189,6 +199,7 @@ class SimNetwork final : public Fabric {
   // Explicit binary heap (std::push_heap/pop_heap over a vector): pops move
   // events out instead of copying, and bulk inserts rebuild in O(n).
   std::vector<Event> events_;
+  std::size_t sweep_at_ = kReclaimFloor;  // heap size that triggers a reclaim
   IdAllocator<StationId> station_ids_;
   SimTime now_ = SimTime::zero();
   std::uint64_t event_seq_ = 0;

@@ -1,5 +1,7 @@
 #include "net/thread_transport.hpp"
 
+#include <algorithm>
+
 namespace wdoc::net {
 
 ThreadTransport::ThreadTransport() : start_(std::chrono::steady_clock::now()) {}
@@ -61,9 +63,11 @@ Fabric::TimerHandle ThreadTransport::schedule_on(StationId station, SimTime delt
     if (!timer_thread_.joinable()) {
       timer_thread_ = std::thread([this] { timer_loop(); });
     }
-    timers_.push(Timer{std::chrono::steady_clock::now() +
-                           std::chrono::microseconds(delta.as_micros()),
-                       station, std::move(fn), cancel, ++timer_seq_});
+    timers_.push_back(Timer{std::chrono::steady_clock::now() +
+                                std::chrono::microseconds(delta.as_micros()),
+                            station, std::move(fn), cancel, ++timer_seq_});
+    std::push_heap(timers_.begin(), timers_.end(), TimerLater{});
+    reclaim_cancelled(timers_, timer_sweep_at_, TimerLater{});
   }
   timer_cv_.notify_one();
   return cancel;
@@ -81,13 +85,14 @@ void ThreadTransport::timer_loop() {
       timer_cv_.wait(g, [&] { return !running_.load() || !timers_.empty(); });
       continue;
     }
-    auto due = timers_.top().due;
+    auto due = timers_.front().due;
     if (std::chrono::steady_clock::now() < due) {
       timer_cv_.wait_until(g, due);  // re-check: earlier timer or shutdown
       continue;
     }
-    Timer t = timers_.top();
-    timers_.pop();
+    std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
+    Timer t = std::move(timers_.back());
+    timers_.pop_back();
     g.unlock();
     if (!t.cancel->load()) {
       // Route through the station's mailbox so the callback runs on its

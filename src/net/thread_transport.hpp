@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -92,7 +91,10 @@ class ThreadTransport final : public Fabric {
 
   std::mutex timer_mu_;
   std::condition_variable timer_cv_;
-  std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
+  // Binary heap (std::push_heap/pop_heap): a due timer moves out, and
+  // cancelled timers are reclaimed once the heap doubles (fabric.hpp).
+  std::vector<Timer> timers_;
+  std::size_t timer_sweep_at_ = kReclaimFloor;
   std::thread timer_thread_;
   std::uint64_t timer_seq_ = 0;
 

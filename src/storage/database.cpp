@@ -23,9 +23,7 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& dir) {
   Status snap = load_snapshot(snapshot_path(dir), db->catalog_);
   if (!snap.is_ok() && snap.code() != Errc::not_found) return Error(snap.error());
 
-  auto records = Wal::read_all(wal_path(dir));
-  if (!records) return records.error();
-  WDOC_TRY(Wal::replay(records.value(), db->catalog_));
+  WDOC_TRY(Wal::recover(wal_path(dir), db->catalog_));
 
   WDOC_TRY(db->wal_.open(wal_path(dir)));
   db->catalog_.set_default_sink(db.get());

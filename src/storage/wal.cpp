@@ -1,10 +1,13 @@
 #include "storage/wal.hpp"
 
-#include "obs/metrics.hpp"
-
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <unordered_set>
 
 #include "common/hash.hpp"
+#include "obs/metrics.hpp"
 
 namespace wdoc::storage {
 
@@ -122,71 +125,104 @@ Status Wal::sync() {
   return Status::ok();
 }
 
-Result<std::vector<LogRecord>> Wal::read_all(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::vector<LogRecord>{};  // no log yet
-  std::vector<LogRecord> out;
+namespace {
+
+constexpr std::size_t kFrameHeader = 12;         // u32 length + u64 checksum
+constexpr std::uint32_t kMaxFrame = 64u << 20;  // a longer frame is a torn tail
+
+// The one frame loop. Calls `fn` on each intact record of the log at
+// `path`, in log order, reading no further than byte `limit`. The scan ends
+// at the first bad frame (a short header, a length over 64 MiB, a short
+// payload, a checksum mismatch, a record that does not decode): that is a
+// torn or corrupt tail, not an error. Returns the offset just past the last
+// intact frame, or the first error `fn` returns. A missing log is empty.
+Result<std::uint64_t> for_each_frame(const std::string& path, std::uint64_t limit,
+                                     const std::function<Status(LogRecord&)>& fn) {
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
+                                                    &std::fclose);
+  if (f == nullptr) return std::uint64_t{0};
+  const long size = std::fseek(f.get(), 0, SEEK_END) == 0 ? std::ftell(f.get()) : -1;
+  if (size < 0) return Error{Errc::io_error, "cannot size WAL: " + path};
+  limit = std::min(limit, static_cast<std::uint64_t>(size));
+  std::rewind(f.get());
+  std::uint64_t end = 0;
+  Bytes payload;
   for (;;) {
-    std::uint8_t header[12];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header) break;
+    std::uint8_t header[kFrameHeader];
+    if (limit - end < sizeof header ||
+        std::fread(header, 1, sizeof header, f.get()) != sizeof header) {
+      break;
+    }
     std::uint32_t len = 0;
     for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
     std::uint64_t checksum = 0;
     for (int i = 0; i < 8; ++i)
       checksum |= static_cast<std::uint64_t>(header[4 + i]) << (8 * i);
-    if (len > (64u << 20)) break;  // implausible frame; treat as torn tail
-    Bytes payload(len);
-    if (len > 0 && std::fread(payload.data(), 1, len, f) != len) break;
+    // Checking the length against the bytes left first means a corrupt
+    // length never allocates a buffer the file cannot fill.
+    if (len > kMaxFrame || len > limit - end - sizeof header) break;
+    payload.resize(len);
+    if (len > 0 && std::fread(payload.data(), 1, len, f.get()) != len) break;
     if (fnv1a64(std::span<const std::uint8_t>(payload)) != checksum) break;
     auto rec = LogRecord::decode(payload);
     if (!rec) break;
-    out.push_back(std::move(rec).value());
+    WDOC_TRY(fn(rec.value()));
+    end += sizeof header + len;
   }
-  std::fclose(f);
+  return end;
+}
+
+// The one apply switch: redoes a committed record against `catalog`.
+Status apply(const LogRecord& rec, Catalog& catalog) {
+  Table* t = nullptr;
+  if (rec.kind == LogKind::insert || rec.kind == LogKind::update ||
+      rec.kind == LogKind::erase) {
+    t = catalog.table(rec.table);
+    if (t == nullptr) return {Errc::corrupt, "replay into missing table " + rec.table};
+  }
+  switch (rec.kind) {
+    case LogKind::begin:
+    case LogKind::commit:
+    case LogKind::abort:
+      break;
+    case LogKind::create_table:
+      if (!rec.schema) return {Errc::corrupt, "create_table without schema"};
+      return catalog.create_table(*rec.schema);
+    case LogKind::drop_table:
+      return catalog.drop_table(rec.table);
+    case LogKind::insert:
+      return t->restore(rec.row, rec.after);
+    case LogKind::update:
+      return t->update(rec.row, rec.after);
+    case LogKind::erase:
+      return t->erase(rec.row);
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
+Result<std::vector<LogRecord>> Wal::read_all(const std::string& path) {
+  std::vector<LogRecord> out;
+  auto scanned = for_each_frame(path, UINT64_MAX, [&](LogRecord& rec) {
+    out.push_back(std::move(rec));
+    return Status::ok();
+  });
+  if (!scanned) return scanned.error();
   return out;
 }
 
-Status Wal::replay(const std::vector<LogRecord>& records, Catalog& catalog) {
-  std::set<std::uint64_t> committed{0};  // autocommit pseudo-txn
-  for (const LogRecord& rec : records) {
+Status Wal::recover(const std::string& path, Catalog& catalog) {
+  std::unordered_set<std::uint64_t> committed{0};  // autocommit pseudo-txn
+  auto end = for_each_frame(path, UINT64_MAX, [&](LogRecord& rec) {
     if (rec.kind == LogKind::commit) committed.insert(rec.txn);
-  }
-  for (const LogRecord& rec : records) {
-    if (!committed.contains(rec.txn)) continue;
-    switch (rec.kind) {
-      case LogKind::begin:
-      case LogKind::commit:
-      case LogKind::abort:
-        break;
-      case LogKind::create_table: {
-        if (!rec.schema) return {Errc::corrupt, "create_table without schema"};
-        WDOC_TRY(catalog.create_table(*rec.schema));
-        break;
-      }
-      case LogKind::drop_table:
-        WDOC_TRY(catalog.drop_table(rec.table));
-        break;
-      case LogKind::insert: {
-        Table* t = catalog.table(rec.table);
-        if (t == nullptr) return {Errc::corrupt, "replay insert into missing table"};
-        WDOC_TRY(t->restore(rec.row, rec.after));
-        break;
-      }
-      case LogKind::update: {
-        Table* t = catalog.table(rec.table);
-        if (t == nullptr) return {Errc::corrupt, "replay update of missing table"};
-        WDOC_TRY(t->update(rec.row, rec.after));
-        break;
-      }
-      case LogKind::erase: {
-        Table* t = catalog.table(rec.table);
-        if (t == nullptr) return {Errc::corrupt, "replay erase of missing table"};
-        WDOC_TRY(t->erase(rec.row));
-        break;
-      }
-    }
-  }
-  return Status::ok();
+    return Status::ok();
+  });
+  if (!end) return end.status();
+  auto applied = for_each_frame(path, end.value(), [&](LogRecord& rec) {
+    return committed.contains(rec.txn) ? apply(rec, catalog) : Status::ok();
+  });
+  return applied.status();
 }
 
 Status save_snapshot(const Catalog& catalog, const std::string& path) {

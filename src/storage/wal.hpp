@@ -2,7 +2,8 @@
 //
 // The WAL stores logical records (insert/update/erase + txn markers) with
 // per-record checksums; recovery tolerates a torn tail by stopping at the
-// first bad frame. A snapshot serializes the full catalog; `Database`
+// first bad frame, and streams the log in two passes (Wal::recover) rather
+// than loading it whole. A snapshot serializes the full catalog; `Database`
 // (database.hpp) combines the two with checkpointing.
 #pragma once
 
@@ -59,12 +60,19 @@ class Wal {
   // Bytes appended since open(); resets when the log is truncated.
   [[nodiscard]] std::uint64_t bytes_appended() const { return bytes_appended_; }
 
-  // Reads every intact frame; a torn/corrupt tail ends the scan cleanly.
+  // Reads every intact frame into memory; a torn/corrupt tail ends the
+  // scan cleanly. For inspecting a log: recovery streams it (recover).
   [[nodiscard]] static Result<std::vector<LogRecord>> read_all(const std::string& path);
 
-  // Replays a log into a catalog: ops from committed transactions (and
-  // autocommit ops) are applied in log order.
-  [[nodiscard]] static Status replay(const std::vector<LogRecord>& records, Catalog& catalog);
+  // Replays the log at `path` into `catalog`: ops from committed
+  // transactions (and autocommit ops) are applied in log order. The log is
+  // streamed twice through one frame reader, so memory is O(committed
+  // txns), not O(log):
+  //   1. collect the committed txn ids and the end of the last intact frame;
+  //   2. apply the committed records one at a time, up to that offset.
+  // A commit frame after the first bad frame is never seen, so its txn is
+  // not applied. A missing log is an empty one.
+  [[nodiscard]] static Status recover(const std::string& path, Catalog& catalog);
 
  private:
   std::FILE* file_ = nullptr;

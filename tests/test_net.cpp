@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <map>
 
+#include "common/rng.hpp"
 #include "net/sim_network.hpp"
 #include "net/thread_transport.hpp"
 
@@ -315,6 +318,170 @@ TEST(SimNetwork, JitterSpreadsDeliveries) {
   EXPECT_GE(*lo, 20.0 - 0.5);
 }
 
+// Cancelled timers are reclaimed once the heap doubles, so a stream of
+// deadlines that resolve early (acked rpcs) keeps the queue O(live events)
+// instead of growing with every deadline ever armed.
+TEST(SimNetwork, CancelledTimersAreReclaimed) {
+  SimNetwork net;
+  const StationId a = net.add_station();
+  std::vector<Fabric::TimerHandle> dead;
+  for (int i = 0; i < 100'000; ++i) {
+    dead.push_back(net.schedule_on(a, SimTime::seconds(60),
+                                   [] { ADD_FAILURE() << "a cancelled timer ran"; }));
+  }
+  for (const Fabric::TimerHandle& h : dead) h->store(true);
+  EXPECT_EQ(net.pending_events(), 100'000u);  // nothing swept before the next push
+
+  // Each step arms a deadline that is answered at once and a short live
+  // timer; every 100 steps the live ones fire. At most 100 events are live.
+  int fired = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    net.schedule_on(a, SimTime::seconds(60), [] { ADD_FAILURE() << "a cancelled timer ran"; })
+        ->store(true);
+    (void)net.schedule_on(a, SimTime::millis(1), [&] { ++fired; });
+    if (i % 100 == 99) {
+      net.run_until(net.now() + SimTime::millis(1));
+      if (i >= 50'000) {
+        ASSERT_LE(net.pending_events(), 2 * 100 + kReclaimFloor) << i;
+      }
+    }
+  }
+  EXPECT_EQ(fired, 100'000);
+  net.run();
+  EXPECT_EQ(net.pending_events(), 0u);
+  // Dropped deadlines never moved the clock: 1000 rounds of 1 ms.
+  EXPECT_EQ(net.now(), SimTime::millis(1000));
+}
+
+// Random interleavings of schedule_at, schedule_on, cancel, send and
+// run_until against a reference model that keeps every event in a map
+// ordered by (at, seq) and pops it in that order. Fired callbacks, delivery
+// order and now() after each run_until must match exactly, across the
+// sweeps that the many cancelled 60 s deadlines trigger.
+TEST(SimNetwork, RandomScheduleMatchesSortedReferenceModel) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    SimNetwork net(seed);
+    constexpr std::size_t kStations = 4;
+    std::vector<StationId> ids;
+    std::vector<StationLink> links;
+    for (std::size_t i = 0; i < kStations; ++i) {
+      StationLink link;
+      link.up_bps = 1e6 * static_cast<double>(1 + rng.uniform(8));
+      link.down_bps = 1e6 * static_cast<double>(1 + rng.uniform(8));
+      link.latency = SimTime::micros(static_cast<std::int64_t>(rng.uniform(5000)));
+      links.push_back(link);
+      ids.push_back(net.add_station(link));
+    }
+    // What ran, in order, as (time in us, tag): a timer's tag is its index
+    // in arming order, a delivery's is minus its message seq.
+    using Log = std::vector<std::pair<std::int64_t, std::int64_t>>;
+    Log got;
+    Log want;
+    for (StationId id : ids) {
+      net.set_handler(id, [&](const Message& m) {
+        got.emplace_back(net.now().as_micros(), -static_cast<std::int64_t>(m.seq));
+      });
+    }
+    // A spawning timer arms a child when it fires, from inside the run.
+    auto child_delay = [](std::int64_t tag) { return (tag * 7919) % 3000; };
+
+    // The network side. handles[tag] is null for schedule_at timers.
+    std::vector<Fabric::TimerHandle> handles;
+    std::function<void(std::int64_t, bool, bool)> net_arm = [&](std::int64_t delta,
+                                                                bool cancellable, bool spawns) {
+      const auto tag = static_cast<std::int64_t>(handles.size());
+      auto fire = [&, tag, spawns] {
+        got.emplace_back(net.now().as_micros(), tag);
+        if (spawns) net_arm(child_delay(tag), true, false);
+      };
+      if (cancellable) {
+        handles.push_back(net.schedule_on(ids[0], SimTime::micros(delta), fire));
+      } else {
+        handles.push_back(nullptr);
+        net.schedule_at(net.now() + SimTime::micros(delta), fire);
+      }
+    };
+
+    // The model.
+    struct Pending {
+      std::int64_t tag;
+      bool spawns;
+    };
+    std::map<std::pair<std::int64_t, std::uint64_t>, Pending> model;
+    std::vector<bool> cancelled;  // by timer tag
+    std::vector<std::int64_t> up_busy(kStations, 0);
+    std::vector<std::int64_t> down_busy(kStations, 0);
+    std::uint64_t seq = 0;
+    std::uint64_t msg_seq = 0;
+    std::int64_t now = 0;
+    auto model_arm = [&](std::int64_t delta, bool spawns) {
+      const auto tag = static_cast<std::int64_t>(cancelled.size());
+      cancelled.push_back(false);
+      model[{now + delta, ++seq}] = Pending{tag, spawns};
+    };
+    auto model_send = [&](std::size_t from, std::size_t to, std::uint64_t size) {
+      auto tx = [size](double bps) {
+        return SimTime::seconds(static_cast<double>(size) * 8.0 / bps).as_micros();
+      };
+      up_busy[from] = std::max(now, up_busy[from]) + tx(links[from].up_bps);
+      const std::int64_t arrive =
+          up_busy[from] + links[from].latency.as_micros() + links[to].latency.as_micros();
+      down_busy[to] = std::max(arrive, down_busy[to]) + tx(links[to].down_bps);
+      model[{down_busy[to], ++seq}] = Pending{-static_cast<std::int64_t>(++msg_seq), false};
+    };
+    auto model_run_until = [&](std::int64_t t) {
+      while (!model.empty() && model.begin()->first.first <= t) {
+        auto node = model.extract(model.begin());
+        const Pending ev = node.mapped();
+        if (ev.tag >= 0 && cancelled[static_cast<std::size_t>(ev.tag)]) continue;
+        now = node.key().first;
+        want.emplace_back(now, ev.tag);
+        if (ev.spawns) model_arm(child_delay(ev.tag), false);
+      }
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t kind = rng.uniform(100);
+      if (kind < 35) {
+        // Some deadlines are rpc-like: long, and mostly cancelled later.
+        const std::int64_t delta =
+            rng.bernoulli(0.3) ? 60'000'000 : static_cast<std::int64_t>(rng.uniform(20'000));
+        const bool cancellable = rng.bernoulli(0.6);
+        const bool spawns = rng.bernoulli(0.2);
+        net_arm(delta, cancellable, spawns);
+        model_arm(delta, spawns);
+      } else if (kind < 55) {
+        const std::size_t from = rng.uniform(kStations);
+        const std::size_t to = rng.uniform(kStations);
+        const std::uint64_t size = 1 + rng.uniform(2000);
+        ASSERT_TRUE(net.send(make_msg(ids[from], ids[to], size)).is_ok());
+        model_send(from, to, size);
+      } else if (kind < 80) {
+        if (handles.empty()) continue;
+        const std::size_t tag = rng.uniform(handles.size());
+        if (handles[tag] == nullptr) continue;
+        handles[tag]->store(true);
+        cancelled[tag] = true;
+      } else {
+        const std::int64_t t = now + static_cast<std::int64_t>(rng.uniform(5000));
+        net.run_until(SimTime::micros(t));
+        model_run_until(t);
+        now = std::max(now, t);
+        ASSERT_EQ(got, want) << "op " << op;
+        ASSERT_EQ(net.now().as_micros(), now) << "op " << op;
+      }
+      ASSERT_EQ(handles.size(), cancelled.size()) << "op " << op;
+    }
+    net.run();
+    model_run_until(INT64_MAX);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(net.now().as_micros(), now);
+    EXPECT_EQ(net.pending_events(), 0u);
+  }
+}
+
 // --- ThreadTransport ------------------------------------------------------
 
 TEST(ThreadTransport, DeliversToHandlerThread) {
@@ -360,6 +527,30 @@ TEST(ThreadTransport, NowAdvances) {
   SimTime t0 = transport.now();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_GT(transport.now(), t0);
+  transport.shutdown();
+}
+
+// Cancelled timers, some due at once and some far off (and so reclaimed
+// from the timer heap while others are still pending), never reach the
+// station's worker; the live ones all do.
+TEST(ThreadTransport, CancelledTimersNeverFire) {
+  std::atomic<int> fired{0};  // outlives the transport's threads
+  ThreadTransport transport;
+  StationId a = transport.add_station([](const Message&) {});
+  for (int i = 0; i < 1000; ++i) {
+    const bool live = i % 10 == 0;
+    const SimTime delta = live ? SimTime::millis(5)
+                               : (i % 10 < 5 ? SimTime::millis(1) : SimTime::seconds(60));
+    Fabric::TimerHandle h = transport.schedule_on(a, delta, [&] { fired++; });
+    if (!live) h->store(true);
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fired.load() < 100 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(transport.quiesce());
+  EXPECT_EQ(fired.load(), 100);
   transport.shutdown();
 }
 

@@ -1,6 +1,6 @@
-// WAL + snapshot tests: record round-trips, replay semantics (committed vs
-// uncommitted transactions), torn-tail tolerance, snapshot round-trips and
-// durable Database reopen.
+// WAL + snapshot tests: record round-trips, recovery semantics (committed
+// vs uncommitted transactions, nothing applied past the first bad frame),
+// torn-tail tolerance, snapshot round-trips and durable Database reopen.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -149,46 +149,117 @@ TEST(Wal, CorruptChecksumStopsScan) {
   EXPECT_LT(records.value().size(), 3u);
 }
 
-TEST(Wal, ReplayAppliesOnlyCommittedTxns) {
-  Catalog replayed;
-  std::vector<LogRecord> log;
-  {
-    LogRecord rec;
-    rec.kind = LogKind::create_table;
-    rec.table = "t";
-    rec.schema = simple_schema();
-    log.push_back(rec);
-  }
-  auto dml = [&](LogKind kind, std::uint64_t txn, std::uint64_t row,
-                 std::vector<Value> after) {
-    LogRecord rec;
-    rec.kind = kind;
-    rec.txn = txn;
-    rec.table = "t";
-    rec.row = RowId{row};
-    rec.after = std::move(after);
-    log.push_back(rec);
-  };
-  // Autocommit insert (txn 0) always applies.
-  dml(LogKind::insert, 0, 1, {Value("auto"), Value(1)});
-  // Txn 5 commits.
-  dml(LogKind::insert, 5, 2, {Value("committed"), Value(2)});
-  {
-    LogRecord rec;
-    rec.kind = LogKind::commit;
-    rec.txn = 5;
-    log.push_back(rec);
-  }
-  // Txn 6 never commits.
-  dml(LogKind::insert, 6, 3, {Value("lost"), Value(3)});
+// Writes `log` as a WAL at `path`.
+void write_log(const std::string& path, const std::vector<LogRecord>& log) {
+  Wal wal;
+  ASSERT_TRUE(wal.open(path, /*truncate=*/true).is_ok());
+  for (const LogRecord& rec : log) ASSERT_TRUE(wal.append(rec).is_ok());
+  ASSERT_TRUE(wal.sync().is_ok());
+}
 
-  ASSERT_TRUE(Wal::replay(log, replayed).is_ok());
+LogRecord create_record() {
+  LogRecord rec;
+  rec.kind = LogKind::create_table;
+  rec.table = "t";
+  rec.schema = simple_schema();
+  return rec;
+}
+
+LogRecord dml_record(LogKind kind, std::uint64_t txn, std::uint64_t row,
+                     std::vector<Value> after) {
+  LogRecord rec;
+  rec.kind = kind;
+  rec.txn = txn;
+  rec.table = "t";
+  rec.row = RowId{row};
+  rec.after = std::move(after);
+  return rec;
+}
+
+LogRecord marker(LogKind kind, std::uint64_t txn) {
+  LogRecord rec;
+  rec.kind = kind;
+  rec.txn = txn;
+  return rec;
+}
+
+TEST(Wal, ReplayAppliesOnlyCommittedTxns) {
+  TempDir dir;
+  const std::string path = dir.str() + "/wal.log";
+  write_log(path, {
+                      create_record(),
+                      // Autocommit insert (txn 0) always applies.
+                      dml_record(LogKind::insert, 0, 1, {Value("auto"), Value(1)}),
+                      // Txn 5 commits.
+                      dml_record(LogKind::insert, 5, 2, {Value("committed"), Value(2)}),
+                      marker(LogKind::commit, 5),
+                      // Txn 6 never commits.
+                      dml_record(LogKind::insert, 6, 3, {Value("lost"), Value(3)}),
+                  });
+  Catalog replayed;
+  ASSERT_TRUE(Wal::recover(path, replayed).is_ok());
   const Table* t = replayed.table("t");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->row_count(), 2u);
   EXPECT_TRUE(t->find_unique("k", Value("auto")).has_value());
   EXPECT_TRUE(t->find_unique("k", Value("committed")).has_value());
   EXPECT_FALSE(t->find_unique("k", Value("lost")).has_value());
+}
+
+TEST(Wal, RecoverOfMissingLogIsEmpty) {
+  Catalog catalog;
+  EXPECT_TRUE(Wal::recover("/nonexistent/wal.log", catalog).is_ok());
+  EXPECT_TRUE(catalog.table_names().empty());
+}
+
+// Recovery stops at the first corrupt frame: a txn whose commit frame is
+// intact but lies after it is not applied, and neither is anything else
+// past it.
+TEST(Wal, CommitAfterCorruptFrameIsNotApplied) {
+  TempDir dir;
+  const std::string path = dir.str() + "/wal.log";
+  std::uint64_t victim_begin = 0;
+  std::uint64_t victim_end = 0;
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.open(path).is_ok());
+    for (const LogRecord& rec :
+         {create_record(), dml_record(LogKind::insert, 5, 1, {Value("early"), Value(1)}),
+          marker(LogKind::commit, 5), dml_record(LogKind::insert, 6, 2, {Value("late"), Value(2)})}) {
+      ASSERT_TRUE(wal.append(rec).is_ok());
+    }
+    victim_begin = wal.bytes_appended();
+    ASSERT_TRUE(
+        wal.append(dml_record(LogKind::insert, 0, 3, {Value("corrupt"), Value(3)})).is_ok());
+    victim_end = wal.bytes_appended();
+    ASSERT_TRUE(wal.append(marker(LogKind::commit, 6)).is_ok());
+    ASSERT_TRUE(
+        wal.append(dml_record(LogKind::insert, 0, 4, {Value("after"), Value(4)})).is_ok());
+    ASSERT_TRUE(wal.sync().is_ok());
+  }
+  // Flip one payload byte of the autocommit insert between the two txns'
+  // commits.
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, static_cast<long>((victim_begin + 12 + victim_end) / 2), SEEK_SET);
+  int c = std::fgetc(f);
+  std::fseek(f, -1, SEEK_CUR);
+  std::fputc(c ^ 0x40, f);
+  std::fclose(f);
+
+  auto records = Wal::read_all(path);
+  ASSERT_TRUE(records.is_ok());
+  EXPECT_EQ(records.value().size(), 4u);  // the scan ends at the flipped frame
+
+  auto db = Database::open(dir.str());
+  ASSERT_TRUE(db.is_ok());
+  const Table* t = db.value()->catalog().table("t");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->row_count(), 1u);
+  EXPECT_TRUE(t->find_unique("k", Value("early")).has_value());
+  EXPECT_FALSE(t->find_unique("k", Value("late")).has_value());
+  EXPECT_FALSE(t->find_unique("k", Value("corrupt")).has_value());
+  EXPECT_FALSE(t->find_unique("k", Value("after")).has_value());
 }
 
 TEST(Snapshot, RoundTripPreservesRowsAndIds) {
