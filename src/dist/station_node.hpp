@@ -65,13 +65,14 @@ namespace wdoc::dist {
 // children as soon as it verifies, holding at most `window` unacked chunks
 // in flight per child (each one an rpc with a deadline and retry budget).
 // Pull-side repair requests at most `repair_batch` missing indices per
-// round. `enabled = false` selects the whole-manifest store-and-forward
-// push, the reference the chunked push is measured against.
+// round (256 × 64 KiB = 16 MiB, so one round still covers a 10 MB clip).
+// `enabled = false` selects the whole-manifest store-and-forward push, the
+// reference the chunked push is measured against.
 struct ChunkConfig {
   bool enabled = true;
-  std::uint32_t chunk_bytes = 256 * 1024;
+  std::uint32_t chunk_bytes = 64 * 1024;
   std::uint32_t window = 32;
-  std::uint32_t repair_batch = 64;
+  std::uint32_t repair_batch = 256;
 
   [[nodiscard]] Status validate() const;
 };
@@ -359,7 +360,7 @@ class StationNode {
     std::unique_ptr<swarm::SwarmScheduler> sched;
     // Stripe-ancestor adoption (the swarm analogue of tree failover): the
     // closest ancestor per stripe tree we currently expect gossip from.
-    // While it stays silent past kStallTimeout we walk one level further
+    // While it stays silent past kPeerTimeout we walk one level further
     // up and adopt that ancestor as a gossip peer — a shallow ancestor
     // sees the chunk frontier seconds before the orphaned subtree does,
     // and its uplink has the dead child's relay slots to spare.
@@ -381,10 +382,17 @@ class StationNode {
     // request serves (swarm_serve_queue) — a relay feeds a whole subtree —
     // but after kServeStride consecutive relays one serve is interleaved,
     // so crash recovery drains steadily instead of waiting for the entire
-    // relay backlog (see swarm::kServeStride).
+    // relay backlog (see swarm::kServeStride). Relays to a stripe child
+    // silent past kPeerTimeout (most likely crashed) are parked and sent
+    // only when both queues are empty: its slots go to the orphans' pulls,
+    // and a child that was only slow still gets its chunks.
     std::deque<SwarmSend> swarm_queue;
     std::deque<SwarmSend> swarm_serve_queue;
+    std::deque<SwarmSend> swarm_parked;
     std::uint32_t relays_since_serve = 0;
+    // Relays sent since the last gossip tick: the measured relay load
+    // behind the advertised backlog (swarm::kBusyRelayPercent).
+    std::uint32_t relays_this_round = 0;
     net::Fabric::TimerHandle pace_timer;
     bool pacing = false;
   };

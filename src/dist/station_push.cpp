@@ -347,7 +347,9 @@ void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
   // A swarm transfer stays alive while its gossip loop runs — it may still
   // be serving chunks to (or pulling them for) incomplete neighbors.
   if (t.swarm() && !t.gossip_done) return;
-  if (t.swarm() && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) return;
+  if (t.swarm() &&
+      !(t.swarm_queue.empty() && t.swarm_serve_queue.empty() && t.swarm_parked.empty()))
+    return;
   for (const ChildCursor& c : t.children) {
     if (!c.pending.empty() || !c.in_flight.empty()) return;
   }

@@ -2,6 +2,7 @@
 // stripe-tree state, paced sends, bitmap gossip and rarest-first serves.
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "blob/chunk.hpp"
 #include "common/hash.hpp"
@@ -30,12 +31,15 @@ void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32
   // pulls differently); the neighbor seed is the transfer id, which every
   // station knows, so both ends of a tree link derive the same sets.
   t.sched = std::make_unique<swarm::SwarmScheduler>(
-      total, trees, hash_combine(self_.value(), transfer_id), fabric_->now());
+      total, trees, hash_combine(self_.value(), transfer_id), fabric_->now(),
+      swarm_pace_interval(t));
   t.acting_parent.assign(t.stripe_trees, 0);
   t.acting_since.assign(t.stripe_trees, fabric_->now());
   for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
     auto p = swarm::stripe_parent(position_, tree, t.stripe_trees, m_, n);
     t.sched->set_stripe_parent(tree, p.value_or(0));
+    t.sched->set_relaying(
+        tree, !swarm::stripe_children(position_, tree, t.stripe_trees, m_, n).empty());
     t.acting_parent[tree] = p.value_or(0);
   }
   for (std::uint64_t nb : swarm::gossip_neighbors(position_, m_, n, t.stripe_trees,
@@ -84,18 +88,29 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
   // already-saturated uplink FIFO behind its own relays, and the window
   // stalls would halve pipeline throughput. Loss shows up as a bitmap
   // hole and is recovered by the rarest-first pull path instead.
+  const auto idle = [&t] { return t.swarm_queue.empty() && t.swarm_serve_queue.empty(); };
   bool sent = false;
-  while (!sent && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) {
+  while (!sent && !(idle() && t.swarm_parked.empty())) {
     // Relays before serves, but after kServeStride consecutive relays one
-    // serve cuts in (see the queue comment in the header).
+    // serve cuts in; parked relays go last (see the queue comment in the
+    // header).
+    const bool parked_turn = idle();
     const bool serve_turn =
         !t.swarm_serve_queue.empty() &&
         (t.swarm_queue.empty() || t.relays_since_serve >= swarm::kServeStride);
-    std::deque<SwarmSend>& q =
-        serve_turn ? t.swarm_serve_queue : t.swarm_queue;
+    std::deque<SwarmSend>& q = parked_turn  ? t.swarm_parked
+                               : serve_turn ? t.swarm_serve_queue
+                                            : t.swarm_queue;
     const SwarmSend entry = q.front();
     q.pop_front();
     if (dead_.contains(entry.to)) continue;
+    if (!parked_turn && !entry.serve && t.sched && entry.peer_pos != 0) {
+      const SimTime heard = t.sched->peer_heard_at(entry.peer_pos);
+      if (heard != SimTime::zero() && fabric_->now() - heard > swarm::kPeerTimeout) {
+        t.swarm_parked.push_back(entry);
+        continue;
+      }
+    }
     if (t.sched && entry.peer_pos != 0) {
       const std::uint32_t ordinal = key_ordinal(entry.key);
       const std::uint32_t g = ordinal + 1 < t.chunk_prefix.size()
@@ -125,9 +140,10 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
       DistMetrics::get().swarm_served.inc();
     } else {
       ++t.relays_since_serve;
+      ++t.relays_this_round;
     }
   }
-  if (!sent && t.swarm_queue.empty() && t.swarm_serve_queue.empty()) {
+  if (!sent && idle() && t.swarm_parked.empty()) {
     // Idle tick with nothing left: the link goes quiet immediately.
     t.pacing = false;
     maybe_retire_transfer(transfer_id);
@@ -168,7 +184,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   const std::uint64_t n = tree_order().size();
   const std::uint32_t total = static_cast<std::uint32_t>(t.total_chunks);
   // Stripe-ancestor adoption: while the closest expected ancestor of a
-  // stripe tree stays gossip-silent past kStallTimeout, walk one level up
+  // stripe tree stays gossip-silent past kPeerTimeout, walk one level up
   // and start gossiping with that ancestor too (one level per walk — each
   // adopted ancestor gets a full timeout to answer before we pass it).
   // Only the head of an orphaned subtree walks; its descendants keep
@@ -178,7 +194,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     if (ap == 0 || t.sched->complete()) continue;
     const SimTime heard = t.sched->peer_heard_at(ap);
     const SimTime ref = heard > t.acting_since[tree] ? heard : t.acting_since[tree];
-    if (now - ref <= swarm::kStallTimeout) continue;
+    if (now - ref <= swarm::kPeerTimeout) continue;
     auto up = swarm::stripe_parent(ap, tree, t.stripe_trees, m_, n);
     t.acting_parent[tree] = up.value_or(0);
     t.acting_since[tree] = now;
@@ -212,9 +228,15 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   const std::size_t relay_q = t.swarm_queue.size();
   const std::size_t serve_q = t.swarm_serve_queue.size();
   // "Relay-busy" can't be read off the queue (cut-through keeps it near
-  // empty between arrivals): a station with stripe children keeps relaying
-  // until its own bitmap completes.
-  const bool relay_busy = !t.children.empty() && !t.sched->complete();
+  // empty between arrivals): it is a station with stripe children, still
+  // acquiring, whose relays filled most of the last round's send slots. A
+  // parent whose child died relays at half rate and advertises itself as
+  // the idle server it is.
+  const std::uint32_t relays = std::exchange(t.relays_this_round, 0);
+  const double round_slots =
+      swarm::kGossipInterval.as_seconds() / swarm_pace_interval(t).as_seconds();
+  const bool relay_busy = !t.children.empty() && !t.sched->complete() &&
+                          relays * 100.0 >= round_slots * swarm::kBusyRelayPercent;
   const std::size_t serve_cost =
       relay_busy ? std::min<std::size_t>(swarm::kServeStride, 3) + 1 : 1;
   // The relay-busy base term prices the latency a FIRST serve would see

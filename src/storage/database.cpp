@@ -1,5 +1,8 @@
 #include "storage/database.hpp"
 
+#include <filesystem>
+#include <system_error>
+
 namespace wdoc::storage {
 
 namespace {
@@ -23,7 +26,16 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& dir) {
   Status snap = load_snapshot(snapshot_path(dir), db->catalog_);
   if (!snap.is_ok() && snap.code() != Errc::not_found) return Error(snap.error());
 
-  WDOC_TRY(Wal::recover(wal_path(dir), db->catalog_));
+  auto intact = Wal::recover(wal_path(dir), db->catalog_);
+  if (!intact) return intact.error();
+  // Cut a torn or corrupt tail before appending: frames written past it
+  // would be unreachable to the next recovery.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(wal_path(dir), ec);
+  if (!ec && size > intact.value()) {
+    std::filesystem::resize_file(wal_path(dir), intact.value(), ec);
+    if (ec) return Error{Errc::io_error, "cannot truncate WAL: " + ec.message()};
+  }
 
   WDOC_TRY(db->wal_.open(wal_path(dir)));
   db->catalog_.set_default_sink(db.get());

@@ -212,17 +212,16 @@ Result<std::vector<LogRecord>> Wal::read_all(const std::string& path) {
   return out;
 }
 
-Status Wal::recover(const std::string& path, Catalog& catalog) {
+Result<std::uint64_t> Wal::recover(const std::string& path, Catalog& catalog) {
   std::unordered_set<std::uint64_t> committed{0};  // autocommit pseudo-txn
   auto end = for_each_frame(path, UINT64_MAX, [&](LogRecord& rec) {
     if (rec.kind == LogKind::commit) committed.insert(rec.txn);
     return Status::ok();
   });
-  if (!end) return end.status();
-  auto applied = for_each_frame(path, end.value(), [&](LogRecord& rec) {
+  if (!end) return end.error();
+  return for_each_frame(path, end.value(), [&](LogRecord& rec) {
     return committed.contains(rec.txn) ? apply(rec, catalog) : Status::ok();
   });
-  return applied.status();
 }
 
 Status save_snapshot(const Catalog& catalog, const std::string& path) {

@@ -71,8 +71,12 @@ class Wal {
   //   1. collect the committed txn ids and the end of the last intact frame;
   //   2. apply the committed records one at a time, up to that offset.
   // A commit frame after the first bad frame is never seen, so its txn is
-  // not applied. A missing log is an empty one.
-  [[nodiscard]] static Status recover(const std::string& path, Catalog& catalog);
+  // not applied. A missing log is an empty one. Returns the end offset of
+  // the last intact frame: a writer must cut the log there before it
+  // appends, or its frames land past the bad one and the next recovery
+  // never reaches them.
+  [[nodiscard]] static Result<std::uint64_t> recover(const std::string& path,
+                                                      Catalog& catalog);
 
  private:
   std::FILE* file_ = nullptr;

@@ -25,10 +25,26 @@ inline constexpr std::uint32_t kExtraPeers = 2;
 inline constexpr std::uint32_t kLinkWindow = 8;
 // Max outstanding swarm chunk requests across ALL peers — this bounds
 // how much pulled data can pile onto one downlink, which otherwise
-// competes with (and slows) the stripe pipeline itself.
+// competes with (and slows) the stripe pipeline itself. The windows are
+// stated in chunks, not bytes: each pulled chunk queued on a downlink
+// delays the stripe chunk behind it by one chunk-time, whatever the chunk
+// size.
 inline constexpr std::uint32_t kPullWindow = 12;
+// The pull window of a station that still relays a healthy stripe while a
+// recovering parent relays it the broken one: one request in flight. Its
+// downlink is FIFO, so every pulled chunk queued ahead of a healthy-stripe
+// chunk holds up that chunk's relay to the whole subtree below, and the
+// parent's relays already bring it the broken stripe. A subtree head, with
+// no live feed for the broken stripe, keeps kPullWindow.
+inline constexpr std::uint32_t kRelayPullWindow = 1;
 // Max chunk indices carried by one SwarmReq message.
 inline constexpr std::uint32_t kRequestBatch = 32;
+// A station counts as relay-busy, and advertises the serve latency of one,
+// while it has stripe children, is still acquiring, and its relays filled
+// at least this share (in percent) of the last gossip round's send slots.
+// A parent whose child died relays at half rate: its spare slots make it
+// the cheapest server for the orphans.
+inline constexpr std::uint32_t kBusyRelayPercent = 75;
 // Paced-send priority mix: after this many consecutive stripe relays, one
 // queued request serve is let through even while relays are pending. With
 // cut-through relaying the relay queue is empty between arrivals, so
@@ -39,15 +55,23 @@ inline constexpr std::uint32_t kRequestBatch = 32;
 // are steered toward idle uplinks by the backlog advert anyway) while
 // still bounding serve starvation when a backlog persists.
 inline constexpr std::uint32_t kServeStride = 4;
-// A stripe tree with no chunk arrival for this long is considered
+// A stripe tree with no chunk arrival for this many chunk-times (one
+// chunk's serialization on the station's own uplink) is considered
 // stalled; only then does the scheduler pull its chunks from peers, so a
-// clean pipeline generates zero duplicate traffic. The pipeline delivers
-// a chunk per tree every couple of chunk-times at full utilization, so
-// the timeout sits several chunk-times above that cadence: low enough
-// that an orphaned subtree starts recovering quickly, high enough that
-// normal inter-chunk jitter never trips it (pull mode also latches once
-// tripped, so a borderline timeout cannot oscillate — see scheduler.hpp).
-inline constexpr SimTime kStallTimeout = SimTime::seconds(1.8);
+// clean pipeline generates zero duplicate traffic. A tree delivers a chunk
+// every `trees` chunk-times at full utilization, so the timeout sits
+// several of those cadences above it: low enough that an orphaned subtree
+// starts recovering quickly (0.84 s at 64 KiB chunks on 10 Mb/s), high
+// enough that normal inter-chunk jitter never trips it (pull mode also
+// latches once tripped, so a borderline timeout cannot oscillate — see
+// scheduler.hpp). Stated in chunk-times because the cadence scales with
+// the chunk size.
+inline constexpr std::uint32_t kStallChunks = 16;
+// A peer that has sent no gossip for this many gossip rounds is presumed
+// gone (crashed, or its transfer retired): no pull is planned on it, a
+// stripe parent parks its relays to it behind every other send, and an
+// orphan walks past it to the next stripe ancestor.
+inline constexpr SimTime kPeerTimeout = kGossipInterval * 4;
 // A tree that has never delivered a chunk is held to this longer grace
 // before counting as stalled: at depth the first stripe chunk takes
 // several pipeline hops to arrive, and treating that ramp-up as a stall

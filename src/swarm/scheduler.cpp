@@ -21,12 +21,14 @@ constexpr std::uint32_t kEndgameChunks = 2;
 }  // namespace
 
 SwarmScheduler::SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees,
-                               std::uint64_t seed, SimTime now)
+                               std::uint64_t seed, SimTime now, SimTime chunk_time)
     : total_(total_chunks),
       trees_(trees),
       seed_(seed),
+      stall_(chunk_time * kStallChunks),
       self_(total_chunks),
       stripe_parent_(trees, 0),
+      relaying_(trees, 0),
       last_progress_(trees, now),
       progressed_(trees, 0),
       orphaned_(trees, 0),
@@ -37,6 +39,10 @@ SwarmScheduler::SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees,
 
 void SwarmScheduler::set_stripe_parent(std::uint32_t tree, std::uint64_t parent_position) {
   if (tree < stripe_parent_.size()) stripe_parent_[tree] = parent_position;
+}
+
+void SwarmScheduler::set_relaying(std::uint32_t tree, bool relaying) {
+  if (tree < relaying_.size()) relaying_[tree] = relaying ? 1 : 0;
 }
 
 void SwarmScheduler::add_peer(std::uint64_t position) {
@@ -178,10 +184,11 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
   }
 
   // A tree with no push feed at all is always pull-eligible. One that is
-  // flowing goes by kStallTimeout. One that has never delivered anything is
-  // held to the longer startup grace: at depth the first stripe chunk
-  // legitimately takes several pipeline hops to arrive, and pulling during
-  // that ramp-up duplicates chunks the feed was about to push.
+  // flowing goes by the stall timeout. One that has never delivered
+  // anything is held to the longer startup grace: at depth the first
+  // stripe chunk legitimately takes several pipeline hops to arrive, and
+  // pulling during that ramp-up duplicates chunks the feed was about to
+  // push.
   //
   // A stalled tree whose stripe parent's own bitmap is still visibly
   // growing is in *recovering* mode, not orphaned: the parent is acquiring
@@ -200,17 +207,17 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
       continue;
     }
     const SimTime quiet = now - last_progress_[t];
-    const SimTime limit = progressed_[t] ? kStallTimeout : kStartupGrace;
+    const SimTime limit = progressed_[t] ? stall_ : kStartupGrace;
     if (quiet > limit) {
       bool feed_active = false;
       if (auto it = peers_.find(stripe_parent_[t]); it != peers_.end()) {
         feed_active = !it->second.have.complete() &&
-                      now - it->second.grew_at <= kStallTimeout;
+                      now - it->second.grew_at <= stall_;
       }
       if (!feed_active) {
         // Latch: pulled chunks land on the same progress clock as relayed
         // ones, so without the latch every pull batch "feeds" the tree for
-        // another kStallTimeout and the gate oscillates — pull, go quiet,
+        // another stall timeout and the gate oscillates — pull, go quiet,
         // re-trip — leaving the downlink idle for seconds at a stretch. A
         // feed that died stays dead; keep pulling until the tree completes.
         mode[t] = kOrphan;
@@ -264,9 +271,25 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
     return a.g < b.g;
   });
 
+  // Yield to stripe relays: while we still relay a healthy stripe and a
+  // recovering parent relays us the broken one, our downlink carries both
+  // feeds, and every pulled chunk queued on it delays the healthy stripe
+  // for our whole subtree. One pull in flight fills the gaps between the
+  // two feeds. A subtree head (some tree in kOrphan mode) has no live feed
+  // for its broken stripe and needs the full window.
+  bool relays_fed_tree = false;
+  bool heads_a_tree = false;
+  for (std::uint32_t t = 0; t < trees_; ++t) {
+    relays_fed_tree = relays_fed_tree ||
+                      (relaying_[t] && mode[t] == kFed && tree_have_[t] < tree_total_[t]);
+    heads_a_tree = heads_a_tree || mode[t] == kOrphan;
+  }
+  const std::uint32_t window =
+      relays_fed_tree && !heads_a_tree ? kRelayPullWindow : kPullWindow;
+
   std::map<std::uint64_t, SwarmPlan> plans;
   for (const Cand& c : cands) {
-    if (inflight_.size() >= kPullWindow) break;
+    if (inflight_.size() >= window) break;
     // Least-loaded eligible peer, seeded tie-break. Load is the peer's
     // gossiped send-queue backlog plus our outstanding requests to it —
     // a request parked on a relay-saturated uplink is a reservation that
@@ -282,6 +305,7 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
     for (auto& [pos, peer] : peers_) {
       if (pos == feed) continue;
       if (!peer.have.test(c.g)) continue;
+      if (now - peer.heard_at > kPeerTimeout) continue;
       if (peer.window_used >= kLinkWindow) continue;
       if (plans.contains(pos) && plans[pos].chunks.size() >= kRequestBatch) continue;
       const std::uint64_t load = peer.window_used + peer.backlog;

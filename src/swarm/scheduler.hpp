@@ -7,11 +7,11 @@
 // under these rules:
 //
 //   * stall gating — a chunk is only pulled when its stripe tree has made
-//     no progress for kStallTimeout (or has no live push feed at all), so
-//     a cleanly-flowing pipeline generates zero duplicate traffic. Pull
-//     mode LATCHES once tripped: pulled chunks land on the same progress
-//     clock that feeds the gate, so an unlatched gate would close behind
-//     every pulled batch and reopen a kStallTimeout later. A tree whose
+//     no progress for kStallChunks chunk-times (or has no live push feed
+//     at all), so a cleanly-flowing pipeline generates zero duplicate
+//     traffic. Pull mode LATCHES once tripped: pulled chunks land on the
+//     same progress clock that feeds the gate, so an unlatched gate would
+//     close behind every pulled batch and reopen a stall later. A tree whose
 //     stripe parent gossips a recovering mask latches too (the orphan
 //     signal cascades down exactly the dead station's subtree), but in
 //     *claim partitioning* mode: the parent will relay everything it
@@ -25,13 +25,20 @@
 //   * rarest-first — candidates are ordered by how few peers hold them,
 //     ties broken by a seeded hash of the chunk index (never by arrival
 //     order, which would differ across runs of different topologies);
+//   * yielding to stripe relays — a station that still relays a healthy
+//     stripe while a recovering parent relays it the broken one keeps
+//     kRelayPullWindow requests in flight, not kPullWindow: pulled chunks
+//     queued on its FIFO downlink would hold up the healthy stripe for its
+//     whole subtree;
 //   * per-link windows — at most kLinkWindow outstanding requests per
 //     peer (and kPullWindow across all peers, protecting the downlink),
-//     the least-loaded eligible peer taking each chunk — never the chunk's
-//     own stripe parent, which would push it anyway. Load is the peer's
-//     last-gossiped send-queue backlog plus our own outstanding requests
-//     to it, so requests route to uplinks with spare capacity instead of
-//     piling reservations onto a relay-saturated server;
+//     the least-loaded live peer taking each chunk — never the chunk's
+//     own stripe parent, which would push it anyway, nor a peer silent for
+//     kPeerTimeout, which has crashed or retired and will never serve the
+//     request. Load is the peer's last-gossiped send-queue backlog plus
+//     our own outstanding requests to it, so requests route to uplinks
+//     with spare capacity instead of piling reservations onto a
+//     relay-saturated server;
 //   * duplicate suppression — an in-flight chunk is never re-requested
 //     until its kRequestTimeout deadline passes.
 //
@@ -68,12 +75,16 @@ struct PeerReport {
 
 class SwarmScheduler {
  public:
+  // `chunk_time` is one chunk's serialization time; kStallChunks of them
+  // make the stall timeout.
   SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees, std::uint64_t seed,
-                 SimTime now);
+                 SimTime now, SimTime chunk_time);
 
   // Topology: which position feeds each stripe tree (0 = no feed, e.g. at
-  // the root), and the gossip neighbor set.
+  // the root), whether this station relays the tree to stripe children,
+  // and the gossip neighbor set.
   void set_stripe_parent(std::uint32_t tree, std::uint64_t parent_position);
+  void set_relaying(std::uint32_t tree, bool relaying);
   void add_peer(std::uint64_t position);
   // Every known peer in ascending position order (configured neighbors
   // plus peers adopted on first gossip contact).
@@ -140,10 +151,12 @@ class SwarmScheduler {
   std::uint32_t total_;
   std::uint32_t trees_;
   std::uint64_t seed_;
+  SimTime stall_;  // kStallChunks chunk-times
   Bitmap self_;
   std::map<std::uint64_t, Peer> peers_;
   std::map<std::uint32_t, Flight> inflight_;
   std::vector<std::uint64_t> stripe_parent_;  // per tree; 0 = none
+  std::vector<std::uint8_t> relaying_;        // per tree: we have children
   std::vector<SimTime> last_progress_;        // per tree
   std::vector<std::uint8_t> progressed_;      // per tree: any chunk ever arrived
   std::vector<std::uint8_t> orphaned_;        // per tree: pull mode, latched

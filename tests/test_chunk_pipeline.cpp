@@ -118,8 +118,8 @@ std::vector<double> child_completions(std::size_t n, std::uint64_t m) {
 // consecutive children at m=8.
 TEST(ChunkPipeline, RootUplinkInterleavesChildren) {
   const StationConfig cfg;
-  // One chunk message (256 KiB plus the chunk and wire headers) on the
-  // root's 10 Mb/s uplink: ~0.21 s.
+  // One chunk message (the default 64 KiB plus the chunk and wire headers)
+  // on the root's 10 Mb/s uplink: ~0.05 s.
   const double chunk_s =
       static_cast<double>(cfg.chunk.chunk_bytes + 2 * net::kWireHeaderBytes) * 8.0 /
       bench::kCampusLink.up_bps;
@@ -142,7 +142,7 @@ TEST(ChunkPipeline, RootUplinkInterleavesChildren) {
 TEST(ChunkPipeline, RealPayloadRelayIsZeroCopy) {
   StationConfig cfg;
   Cluster c(15, 2, cfg);
-  // 2 MiB of real lecture bytes at the root (8 chunks of 256 KiB).
+  // 2 MiB of real lecture bytes at the root (32 chunks of 64 KiB).
   Bytes video(2 << 20);
   for (std::size_t i = 0; i < video.size(); ++i) {
     video[i] = static_cast<std::uint8_t>(i * 1315423911u >> 16);

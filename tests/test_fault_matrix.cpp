@@ -6,6 +6,7 @@
 // all.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "common/hash.hpp"
@@ -395,7 +396,14 @@ struct SwarmDrillResult {
   bool all_online_materialized = true;
 };
 
-SwarmDrillResult run_swarm_drill(std::uint64_t seed, bool crash_interior) {
+// Station indices crashed by the drills. Index 8 holds tree position 9:
+// interior in stripe tree 0, and its subtree holds tree 1's head and upper
+// relays. Index 39 (position 40) is its mirror: tree 1's virtual slot 8,
+// whose subtree holds tree 0's head and upper relays.
+constexpr std::size_t kInteriorCrash = 8;
+constexpr std::size_t kMirrorCrash = 39;
+
+SwarmDrillResult run_swarm_drill(std::uint64_t seed, std::optional<std::size_t> crash) {
   bench::SimCluster c(63, 2, bench::kCampusLink, swarm_drill_config(), seed);
   DocManifest doc;
   doc.doc_key = "http://mmu.edu/CS503/swarm-fault-drill";
@@ -408,12 +416,11 @@ SwarmDrillResult run_swarm_drill(std::uint64_t seed, bool crash_interior) {
   doc.blobs.push_back(video);
   c.store(0).put_instance(doc, /*ephemeral=*/false).expect("instructor copy");
 
-  if (crash_interior) {
-    // Station index 8 holds tree position 9 — interior in stripe tree 0
-    // with a multi-station subtree below it. It dies two seconds into the
-    // push (roughly a quarter of the stripe delivered) and never returns.
+  if (crash) {
+    // The interior station dies two seconds into the push (roughly a
+    // quarter of the stripe delivered) and never returns.
     net::FaultPlan plan;
-    plan.crashes.push_back({c.id(8), SimTime::seconds(2), SimTime::zero()});
+    plan.crashes.push_back({c.id(*crash), SimTime::seconds(2), SimTime::zero()});
     c.net().inject(plan).expect("inject");
   }
 
@@ -442,9 +449,9 @@ SwarmDrillResult run_swarm_drill(std::uint64_t seed, bool crash_interior) {
   return out;
 }
 
-TEST(SwarmFaultDrill, InteriorCrashCostsUnderTenPercentExtraMakespan) {
-  SwarmDrillResult clean = run_swarm_drill(/*seed=*/31415, /*crash_interior=*/false);
-  SwarmDrillResult crashed = run_swarm_drill(/*seed=*/31415, /*crash_interior=*/true);
+void expect_crash_costs_under_ten_percent(std::size_t crash) {
+  SwarmDrillResult clean = run_swarm_drill(/*seed=*/31415, std::nullopt);
+  SwarmDrillResult crashed = run_swarm_drill(/*seed=*/31415, crash);
 
   ASSERT_TRUE(clean.all_online_materialized);
   ASSERT_TRUE(crashed.all_online_materialized)
@@ -458,9 +465,17 @@ TEST(SwarmFaultDrill, InteriorCrashCostsUnderTenPercentExtraMakespan) {
       << clean.makespan << "s";
 }
 
+TEST(SwarmFaultDrill, InteriorCrashCostsUnderTenPercentExtraMakespan) {
+  expect_crash_costs_under_ten_percent(kInteriorCrash);
+}
+
+TEST(SwarmFaultDrill, MirrorInteriorCrashCostsUnderTenPercentExtraMakespan) {
+  expect_crash_costs_under_ten_percent(kMirrorCrash);
+}
+
 TEST(SwarmFaultDrill, CrashRunsWithTheSameSeedAreByteIdentical) {
-  SwarmDrillResult a = run_swarm_drill(/*seed=*/2718, /*crash_interior=*/true);
-  SwarmDrillResult b = run_swarm_drill(/*seed=*/2718, /*crash_interior=*/true);
+  SwarmDrillResult a = run_swarm_drill(/*seed=*/2718, kInteriorCrash);
+  SwarmDrillResult b = run_swarm_drill(/*seed=*/2718, kInteriorCrash);
   EXPECT_FALSE(a.journal.empty());
   EXPECT_EQ(a.journal, b.journal);
 }

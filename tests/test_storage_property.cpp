@@ -342,7 +342,7 @@ TEST_P(WalFuzz, BitFlipsNeverCrashRecovery) {
     // Recovery of any prefix must succeed into an empty catalog (the table
     // create is record 0; if it was clobbered the prefix is empty).
     Catalog catalog;
-    Status recovered = Wal::recover(mutated.string(), catalog);
+    Status recovered = Wal::recover(mutated.string(), catalog).status();
     EXPECT_TRUE(recovered.is_ok()) << recovered.message();
     EXPECT_EQ(catalog.table_names().empty() ? 0 : catalog.table("people")->row_count() + 1,
               records.value().size());

@@ -125,8 +125,11 @@ TEST(Gossip, TreeLinksAreSymmetric) {
 
 // The scheduler tests run against the protocol constants themselves, with
 // chunk counts scaled off kLinkWindow so each test reaches the limit it
-// checks.
+// checks. Peers report at the instant the test plans: a peer silent for
+// kPeerTimeout is never asked to serve.
 constexpr std::uint32_t kTrees = 2;
+constexpr SimTime kChunkTime = SimTime::millis(50);
+constexpr SimTime kPlanAt = SimTime::seconds(10);
 
 Bitmap full_bitmap(std::uint32_t total) {
   Bitmap all(total);
@@ -139,15 +142,15 @@ TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
   // full window plus chunk 5 still fits the global pull window.
   constexpr std::uint32_t kChunks = kLinkWindow + 2;
   static_assert(kLinkWindow + 1 <= kPullWindow);
-  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero());
+  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero(), kChunkTime);
   // No stripe parents set: every tree counts as stalled, pulls are free.
   s.add_peer(2);
   s.add_peer(3);
   Bitmap rare(kChunks);
   rare.set(5);
-  s.peer_update(2, full_bitmap(kChunks).words());
-  s.peer_update(3, rare.words());
-  auto plans = s.plan(SimTime::seconds(10));
+  s.peer_update(2, full_bitmap(kChunks).words(), 0, kPlanAt);
+  s.peer_update(3, rare.words(), 0, kPlanAt);
+  auto plans = s.plan(kPlanAt);
   ASSERT_FALSE(plans.empty());
   // Chunk 5 is held by both peers (availability 2), everything else only
   // by peer 2 (availability 1). The availability-1 chunks are planned
@@ -169,27 +172,31 @@ TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
 
 TEST(Scheduler, InFlightChunksAreNeverReplanned) {
   constexpr std::uint32_t kChunks = 2 * kLinkWindow;
-  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero());
+  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero(), kChunkTime);
   s.add_peer(2);
-  s.peer_update(2, full_bitmap(kChunks).words());
-  auto first = s.plan(SimTime::seconds(10));
+  s.peer_update(2, full_bitmap(kChunks).words(), 0, kPlanAt);
+  auto first = s.plan(kPlanAt);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].chunks.size(), kLinkWindow);
   // Same instant: everything plannable is in flight, nothing new.
-  auto second = s.plan(SimTime::seconds(10));
+  auto second = s.plan(kPlanAt);
   EXPECT_TRUE(second.empty());
-  // Past the request timeout the requests expire and re-plan.
-  auto third = s.plan(SimTime::seconds(10) + kRequestTimeout + SimTime::millis(1));
+  // Past the request timeout the requests expire and re-plan on the peer,
+  // which is still gossiping.
+  const SimTime later = kPlanAt + kRequestTimeout + SimTime::millis(1);
+  s.peer_update(2, full_bitmap(kChunks).words(), 0, later);
+  auto third = s.plan(later);
   ASSERT_EQ(third.size(), 1u);
   EXPECT_EQ(third[0].chunks.size(), kLinkWindow);
 }
 
 TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
-  SwarmScheduler s(8, kTrees, 42, SimTime::zero());
+  SwarmScheduler s(8, kTrees, 42, SimTime::zero(), kChunkTime);
+  const SimTime stall = kChunkTime * kStallChunks;
   s.set_stripe_parent(0, 5);
   s.set_stripe_parent(1, 9);
   s.add_peer(2);
-  s.peer_update(2, full_bitmap(8).words());
+  s.peer_update(2, full_bitmap(8).words(), 0, SimTime::millis(200));
   // Fresh progress on both trees: nothing is stalled, nothing is pulled.
   s.mark_have(0, SimTime::millis(100));  // tree 0
   s.mark_have(1, SimTime::millis(100));  // tree 1
@@ -197,8 +204,10 @@ TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
   // Tree 1 goes quiet past the stall timeout; only its chunks (odd g) are
   // pulled, tree 0 keeps riding the pipeline.
   s.mark_have(2, SimTime::millis(300));  // tree 0 still progressing
-  // Tree 0 quiet for kStallTimeout - 100ms, tree 1 for kStallTimeout + 100ms.
-  auto plans = s.plan(kStallTimeout + SimTime::millis(200));
+  // Tree 0 quiet for stall - 100ms, tree 1 for stall + 100ms.
+  const SimTime at = stall + SimTime::millis(200);
+  s.peer_update(2, full_bitmap(8).words(), 0, at);
+  auto plans = s.plan(at);
   ASSERT_EQ(plans.size(), 1u);
   for (std::uint32_t g : plans[0].chunks) {
     EXPECT_EQ(stripe_of(g, 2), 1u) << "pulled a chunk of a healthy tree";
@@ -206,12 +215,60 @@ TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
   EXPECT_FALSE(plans[0].chunks.empty());
 }
 
+TEST(Scheduler, SilentPeersAreNotAskedToServe) {
+  constexpr std::uint32_t kChunks = 2 * kLinkWindow;
+  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero(), kChunkTime);
+  s.add_peer(2);
+  s.peer_update(2, full_bitmap(kChunks).words(), 0, kPlanAt);
+  // A peer that crashed or retired its transfer stops gossiping; a request
+  // to it would never be served.
+  EXPECT_TRUE(s.plan(kPlanAt + kPeerTimeout + SimTime::millis(1)).empty());
+  const SimTime heard = kPlanAt + kPeerTimeout * 2;
+  s.peer_update(2, full_bitmap(kChunks).words(), 0, heard);
+  EXPECT_FALSE(s.plan(heard).empty());
+}
+
+TEST(Scheduler, RecoveringRelayYieldsItsDownlinkToTheStripes) {
+  // Tree 0 flows from parent 5 and we relay it; tree 1's parent 9 is
+  // itself recovering (its gossip carries the recovering mask), so tree 1
+  // is pulled around it. Peer 2 holds everything.
+  constexpr std::uint32_t kChunks = 8 * kLinkWindow;
+  auto planned = [&](bool relaying) {
+    SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero(), kChunkTime);
+    s.set_stripe_parent(0, 5);
+    s.set_stripe_parent(1, 9);
+    s.set_relaying(0, relaying);
+    s.mark_have(0, kPlanAt);  // both trees just made progress
+    s.mark_have(1, kPlanAt);
+    const std::vector<std::uint64_t> none(Bitmap(kChunks).words());
+    PeerReport parent;
+    parent.have = &none;
+    parent.recovering = 0b10;  // tree 1
+    parent.now = kPlanAt;
+    s.peer_update(9, parent);
+    s.peer_update(2, full_bitmap(kChunks).words(), 0, kPlanAt);
+    std::size_t n = 0;
+    for (const auto& p : s.plan(kPlanAt)) {
+      for (std::uint32_t g : p.chunks) {
+        EXPECT_EQ(stripe_of(g, kTrees), 1u) << "pulled a chunk of the flowing tree";
+        ++n;
+      }
+    }
+    return n;
+  };
+  // A leaf of tree 0 pulls a full link window; a relay of tree 0 keeps
+  // kRelayPullWindow in flight, so pulled chunks never queue up ahead of
+  // the tree-0 chunks its subtree waits on.
+  EXPECT_EQ(planned(false), kLinkWindow);
+  EXPECT_EQ(planned(true), kRelayPullWindow);
+}
+
 TEST(Scheduler, MarkHaveClearsFlightAndTracksCompletion) {
   constexpr std::uint32_t kChunks = 2 * kLinkWindow;
-  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero());
+  SwarmScheduler s(kChunks, kTrees, 42, SimTime::zero(), kChunkTime);
   s.add_peer(2);
-  s.peer_update(2, full_bitmap(kChunks).words());
-  (void)s.plan(SimTime::seconds(10));
+  s.peer_update(2, full_bitmap(kChunks).words(), 0, kPlanAt);
+  (void)s.plan(kPlanAt);
   EXPECT_EQ(s.in_flight(), kLinkWindow);
   EXPECT_TRUE(s.mark_have(0, SimTime::seconds(11)));
   EXPECT_FALSE(s.mark_have(0, SimTime::seconds(11)));  // duplicate
@@ -376,7 +433,8 @@ TEST(SwarmPush, DuplicateReceivesAreAccounted) {
     wasted += c.node(i).stats().chunk_wasted_bytes;
     received += c.node(i).stats().chunks_received;
   }
-  EXPECT_EQ(received, 62u * 40u);  // every station exactly one full blob
+  // Every station exactly one full blob.
+  EXPECT_EQ(received, 62u * blob::chunk_count(10 << 20, cfg.chunk.chunk_bytes));
   EXPECT_LE(wasted, dup * cfg.chunk.chunk_bytes);
   // Duplicate overhead must stay a small fraction of useful traffic.
   EXPECT_LE(dup, received / 10) << "dup=" << dup << " received=" << received;

@@ -345,6 +345,36 @@ TEST(Database, DurableReopenReplaysWal) {
   EXPECT_TRUE(t->find_unique("k", Value("persisted")).has_value());
 }
 
+// A reopen after a torn tail cuts the log back to its last intact frame,
+// so commits made after it are reachable by the next recovery.
+TEST(Database, CommitsAfterTornTailRecoverySurviveReopen) {
+  TempDir dir;
+  {
+    auto db = Database::open(dir.str());
+    ASSERT_TRUE(db.is_ok());
+    ASSERT_TRUE(db.value()->create_table(simple_schema()).is_ok());
+    ASSERT_TRUE(db.value()->insert("t", {Value("before"), Value(1)}).is_ok());
+    ASSERT_TRUE(db.value()->flush().is_ok());
+  }
+  std::FILE* f = std::fopen((dir.str() + "/wal.log").c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const char torn[] = {0x20, 0x00};
+  std::fwrite(torn, 1, sizeof torn, f);
+  std::fclose(f);
+  {
+    auto db = Database::open(dir.str());
+    ASSERT_TRUE(db.is_ok());
+    ASSERT_TRUE(db.value()->insert("t", {Value("after"), Value(2)}).is_ok());
+    ASSERT_TRUE(db.value()->flush().is_ok());
+  }
+  auto reopened = Database::open(dir.str());
+  ASSERT_TRUE(reopened.is_ok());
+  const Table* t = reopened.value()->catalog().table("t");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->row_count(), 2u);
+  EXPECT_TRUE(t->find_unique("k", Value("after")).has_value());
+}
+
 TEST(Database, CheckpointCollapsesWalIntoSnapshot) {
   TempDir dir;
   {
