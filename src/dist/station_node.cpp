@@ -229,8 +229,6 @@ void StationNode::on_message(const net::Message& msg) {
     on_chunk_rsp(msg);
   } else if (msg.type == kSwarmHave) {
     on_swarm_have(msg);
-  } else if (msg.type == kSwarmReq) {
-    on_swarm_req(msg);
   } else if (msg.type == net::kMetricsRequest) {
     on_scrape_req(msg);
   } else if (msg.type == net::kMetricsResponse) {

@@ -135,7 +135,7 @@ struct NodeStats {
   std::uint64_t chunk_wasted_bytes = 0;  // wire bytes those duplicates cost
   // Swarm path:
   std::uint64_t swarm_haves_sent = 0;        // gossip bitmaps sent
-  std::uint64_t swarm_reqs_sent = 0;         // rarest-first request messages
+  std::uint64_t swarm_reqs_sent = 0;         // gossip bitmaps carrying a request
   std::uint64_t swarm_chunks_served = 0;     // chunks served to swarm requests
 };
 
@@ -274,7 +274,6 @@ class StationNode {
   static constexpr const char* kChunkReq = net::kChunkReq;
   static constexpr const char* kChunkRsp = net::kChunkRsp;
   static constexpr const char* kSwarmHave = net::kSwarmHave;
-  static constexpr const char* kSwarmReq = net::kSwarmReq;
 
  private:
   void on_message(const net::Message& msg);
@@ -370,10 +369,11 @@ class StationNode {
     std::uint32_t gossip_rounds = 0;
     std::uint32_t idle_rounds = 0;
     std::uint64_t last_state_sum = 0;
-    // Any SwarmHave/SwarmReq received since the last gossip tick. An
-    // incomplete neighbor that is still *alive* keeps gossiping even when
-    // its bitmap is frozen (it may be waiting on our serves) — hearing it
-    // must hold this transfer open, or we retire while it still needs us.
+    // Any SwarmHave from an incomplete neighbor, or one carrying a request,
+    // received since the last gossip tick. An incomplete neighbor that is
+    // still *alive* keeps gossiping even when its bitmap is frozen (it may
+    // be waiting on our serves) — hearing it must hold this transfer open,
+    // or we retire while it still needs us.
     bool gossip_heard = false;
     // Paced swarm send queues: sends drain one chunk per uplink
     // chunk-time, so the fabric queue never grows beyond a chunk or two
@@ -452,12 +452,13 @@ class StationNode {
   void swarm_pace_tick(std::uint64_t transfer_id);
   [[nodiscard]] SimTime swarm_pace_interval(const Transfer& t) const;
   void schedule_swarm_tick(std::uint64_t transfer_id);
-  // One gossip round: progress/idle bookkeeping, termination check, then
-  // SwarmHave to every known peer and SwarmReq per scheduler plan.
+  // One gossip round: ancestor adoption, begin re-sends, a SwarmHave to every
+  // known peer (carrying the pulls planned on it), the termination check.
   void on_swarm_tick(std::uint64_t transfer_id);
+  // A SwarmHave updates our view of its sender and queues paced serves for
+  // the chunk indices it carries (at most kRequestBatch of them).
   void on_swarm_have(const net::Message& msg);
-  void on_swarm_req(const net::Message& msg);
-  // The swarm transfer a SwarmHave/SwarmReq from `from` names, or null when
+  // The swarm transfer a SwarmHave from `from` names, or null when
   // it is unknown here (counted as an orphan), not a swarm, of another
   // chunk count, or the sender's claimed position is not `from`'s.
   [[nodiscard]] Transfer* swarm_transfer_for(std::uint64_t transfer_id,

@@ -1,5 +1,6 @@
 // StationNode swarm mode (multi-source distribution, DESIGN.md §4f):
-// stripe-tree state, paced sends, bitmap gossip and rarest-first serves.
+// stripe-tree state, paced sends, bitmap gossip carrying rarest-first
+// pulls, and their serves.
 #include <algorithm>
 #include <limits>
 #include <utility>
@@ -248,11 +249,11 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
       base + relay_q + serve_q * serve_cost,
       std::numeric_limits<std::uint32_t>::max()));
   auto& dm = DistMetrics::get();
-  // Our bitmap to every known peer — one refcounted buffer for all sends.
-  // Gossip goes out BEFORE the termination check below: the round on which
-  // a station terminates is the round its neighbors learn it is complete,
-  // otherwise their view of us freezes one chunk short and they gossip
-  // until kMaxRounds waiting for it.
+  // Our bitmaps to every known peer — one refcounted buffer for all plain
+  // sends. Gossip goes out BEFORE the termination check below: the round on
+  // which a station terminates is the round its neighbors learn it is
+  // complete, otherwise their view of us freezes one chunk short and they
+  // gossip until kMaxRounds waiting for it.
   net::SwarmHave have;
   have.transfer_id = transfer_id;
   have.position = position_;
@@ -262,33 +263,27 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   have.words = t.sched->self().words();
   have.pending_words = t.sched->pending_words();
   const net::Payload have_payload{have.encode()};
+  // Rarest-first pulls for stalled stripes ride the have to their server,
+  // with a pending bitmap that already counts them. Every plan target is a
+  // known peer, so no request lacks a carrier.
+  const std::vector<swarm::SwarmPlan> plans = t.sched->plan(now);
+  if (!plans.empty()) have.pending_words = t.sched->pending_words();
   for (std::uint64_t pos : t.sched->peer_positions()) {
     if (pos < 1 || pos > n || pos == position_) continue;
     StationId peer = tree_order()[pos - 1];
     if (dead_.contains(peer)) continue;
-    if (send_message(peer, kSwarmHave, have_payload).is_ok()) {
-      ++stats_.swarm_haves_sent;
-      dm.swarm_haves.inc();
-    }
-  }
-  // Rarest-first pulls for stalled stripes, our bitmap piggybacked.
-  for (const swarm::SwarmPlan& plan : t.sched->plan(now)) {
-    if (plan.peer < 1 || plan.peer > n || plan.chunks.empty()) continue;
-    StationId peer = tree_order()[plan.peer - 1];
-    if (dead_.contains(peer)) continue;
-    net::SwarmReq req;
-    req.transfer_id = transfer_id;
-    req.position = position_;
-    req.backlog = backlog;
-    req.indices = plan.chunks;
-    req.total_chunks = total;
-    req.have_words = t.sched->self().words();
-    req.pending_words = t.sched->pending_words();
-    if (send_message(peer, kSwarmReq, req.encode()).is_ok()) {
-      ++stats_.swarm_reqs_sent;
-      dm.swarm_reqs.inc();
-      dm.swarm_req_chunks.inc(plan.chunks.size());
-    }
+    auto ask = std::find_if(plans.begin(), plans.end(),
+                            [pos](const swarm::SwarmPlan& p) { return p.peer == pos; });
+    const bool asking = ask != plans.end();
+    if (asking) have.indices = ask->chunks;
+    const net::Payload payload = asking ? net::Payload{have.encode()} : have_payload;
+    if (!send_message(peer, kSwarmHave, payload).is_ok()) continue;
+    ++stats_.swarm_haves_sent;
+    dm.swarm_haves.inc();
+    if (!asking) continue;
+    ++stats_.swarm_reqs_sent;
+    dm.swarm_reqs.inc();
+    dm.swarm_req_chunks.inc(ask->chunks.size());
   }
   // Termination: stop once we are complete and, as far as gossip shows,
   // every neighbor is too — or nothing has changed and no needy neighbor
@@ -344,30 +339,12 @@ void StationNode::on_swarm_have(const net::Message& msg) {
   report.now = fabric_->now();
   t.sched->peer_update(h.position, report);
   // Only an *incomplete* neighbor holds this transfer open — it may still
-  // need our serves. Completed neighbors echoing their full bitmaps must
-  // not reset the idle countdown, or the cluster keep-alives itself to
-  // kMaxRounds after everyone is done.
-  if (!t.sched->peer_complete(h.position)) t.gossip_heard = true;
-}
-
-void StationNode::on_swarm_req(const net::Message& msg) {
-  auto req = net::SwarmReq::decode(msg.payload);
-  if (!req) return;
-  const net::SwarmReq& q = req.value();
-  Transfer* tp = swarm_transfer_for(q.transfer_id, q.total_chunks, q.position, msg.from);
-  if (tp == nullptr) return;
-  Transfer& t = *tp;
-  t.gossip_heard = true;  // an explicit request is always a sign of need
-  // A request doubles as gossip: the piggybacked bitmaps update our view
-  // (and suppress future relays of chunks the requester has or is pulling).
-  swarm::PeerReport report;
-  report.have = &q.have_words;
-  report.pending = &q.pending_words;
-  report.backlog = q.backlog;
-  report.now = fabric_->now();
-  t.sched->peer_update(q.position, report);
+  // need our serves, and a request is always a sign of need. Completed
+  // neighbors echoing their full bitmaps must not reset the idle countdown,
+  // or the cluster keep-alives itself to kMaxRounds after everyone is done.
+  if (!h.indices.empty() || !t.sched->peer_complete(h.position)) t.gossip_heard = true;
   std::uint32_t queued = 0;
-  for (std::uint32_t g : q.indices) {
+  for (std::uint32_t g : h.indices) {
     if (queued >= swarm::kRequestBatch) break;  // hostile-length guard
     // g -> (ordinal, index) through the prefix table; zero-chunk blobs make
     // prefix values repeat, so take the last blob whose base covers g.
@@ -379,8 +356,8 @@ void StationNode::on_swarm_req(const net::Message& msg) {
     // Serves share the paced send queue with stripe relays, so a burst of
     // requests can't stack a multi-second FIFO on our uplink. Chunks we
     // don't hold fail the send at pace time and the requester re-plans.
-    enqueue_swarm_send(q.transfer_id, t,
-                       {msg.from, q.position, chunk_key(ordinal, index), true});
+    enqueue_swarm_send(h.transfer_id, t,
+                       {msg.from, h.position, chunk_key(ordinal, index), true});
     ++queued;
   }
 }

@@ -5,18 +5,19 @@
 // stripe tree: the m-fold redundancy is the loss protection, and duplicates
 // are idempotent.
 //
-//   SwarmHave   periodic gossip: the sender's chunk-possession bitmap for
-//               one transfer, packed one bit per chunk into 64-bit words.
-//   SwarmReq    rarest-first pull: an explicit list of global chunk
-//               indices, with the requester's own bitmap piggybacked so a
-//               request doubles as a gossip update. Served chunks ride the
+//   SwarmHave   periodic gossip: the sender's chunk-possession and pending
+//               bitmaps for one transfer, packed one bit per chunk into
+//               64-bit words. A have may also carry a rarest-first pull:
+//               an explicit list of global chunk indices, written after the
+//               pending bitmap only when non-empty, so a have without one
+//               is byte-for-byte the plain gossip. Served chunks ride the
 //               existing ChunkData message (req_id = 0, transfer_id set),
 //               so arrival feeds the normal relay path.
 //
-// Every decoder fails with Errc::corrupt on truncation, implausible
-// counts, or geometry the words/indices can't satisfy — hostile input
-// must never drive an allocation or out-of-bounds read (fuzzed in
-// tests/test_decode_fuzz.cpp).
+// The decoder fails with Errc::corrupt on truncation, implausible counts,
+// geometry the words/indices can't satisfy, or trailing bytes that are not
+// exactly one non-empty request — hostile input must never drive an
+// allocation or out-of-bounds read (fuzzed in tests/test_decode_fuzz.cpp).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,6 @@
 namespace wdoc::net {
 
 inline constexpr const char* kSwarmHave = "swarm.have";
-inline constexpr const char* kSwarmReq = "swarm.req";
 
 // Decode-time ceiling on chunks per transfer (a 64 MB-chunk, 16M-chunk
 // transfer is a petabyte — far past any lecture).
@@ -48,27 +48,16 @@ struct SwarmHave {
   std::uint64_t recovering = 0;
   std::uint32_t total_chunks = 0;
   std::vector<std::uint64_t> words;  // exactly ceil(total_chunks / 64)
-  // Chunks the sender has requested and not yet received (same geometry).
-  // A parent skips relaying these — the copy is already on its way.
+  // Chunks the sender has requested and not yet received (same geometry),
+  // including any it requests in `indices`. A parent skips relaying these —
+  // the copy is already on its way.
   std::vector<std::uint64_t> pending_words;
+  // Global chunk indices the sender asks the receiver to serve, each below
+  // total_chunks; empty for plain gossip.
+  std::vector<std::uint32_t> indices;
 
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<SwarmHave> decode(std::span<const std::uint8_t> b);
-};
-
-struct SwarmReq {
-  std::uint64_t transfer_id = 0;
-  std::uint64_t position = 0;  // requester's 1-based tree position
-  std::uint32_t backlog = 0;   // requester's queued-send depth (see SwarmHave)
-  std::vector<std::uint32_t> indices;  // global chunk indices, ascending
-  // Piggybacked requester bitmaps (same geometry as SwarmHave): possession
-  // plus outstanding requests, so a request doubles as a gossip update.
-  std::uint32_t total_chunks = 0;
-  std::vector<std::uint64_t> have_words;
-  std::vector<std::uint64_t> pending_words;
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<SwarmReq> decode(std::span<const std::uint8_t> b);
 };
 
 }  // namespace wdoc::net

@@ -37,7 +37,8 @@ inline constexpr std::uint32_t kPullWindow = 12;
 // parent's relays already bring it the broken stripe. A subtree head, with
 // no live feed for the broken stripe, keeps kPullWindow.
 inline constexpr std::uint32_t kRelayPullWindow = 1;
-// Max chunk indices carried by one SwarmReq message.
+// Max chunk indices a station serves from one SwarmHave's request; any
+// further indices are ignored (the hostile-length guard).
 inline constexpr std::uint32_t kRequestBatch = 32;
 // A station counts as relay-busy, and advertises the serve latency of one,
 // while it has stripe children, is still acquiring, and its relays filled
@@ -77,14 +78,18 @@ inline constexpr SimTime kPeerTimeout = kGossipInterval * 4;
 // several pipeline hops to arrive, and treating that ramp-up as a stall
 // would pull chunks the pipeline was about to push anyway.
 inline constexpr SimTime kStartupGrace = SimTime::seconds(5.0);
-// A planned request not satisfied within this window is forgotten and
-// may be re-planned against another peer. Serves yield to stripe relays
-// at the serving peer, so under congestion a request is a *reservation*
-// that drains when the peer's uplink frees up — the timeout must sit
-// well above worst-case serve latency, or recovery re-requests chunks
-// that are merely queued and the duplicate serves eat the very idle
-// capacity recovery depends on.
-inline constexpr SimTime kRequestTimeout = SimTime::seconds(6.0);
+// A planned request not satisfied within this many chunk-times (1.68 s at
+// 64 KiB chunks on 10 Mb/s) is forgotten and may be re-planned against
+// another peer. Serves yield to stripe relays at the serving peer, so under
+// congestion a request is a *reservation* that drains when the peer's
+// uplink frees up: too short a deadline re-requests chunks that are merely
+// queued, and the duplicate serves eat the very idle capacity recovery
+// depends on (at 16 the 63-station mirror crash drill costs +14.3%, not
+// +7.1%). Too long a deadline paces recovery under loss, where a dropped
+// request or serve is re-planned only once it expires (the 10%-loss drill
+// takes 30-34 s at 32, 38-57 s at 48, 64-88 s at 114, about 6 s). Stated in
+// chunk-times because the serve latency scales with the chunk size.
+inline constexpr std::uint32_t kRequestChunks = 32;
 // Gossip stops once the station and (as far as it has heard) all its
 // neighbors are complete, or after this many completed-but-quiet rounds.
 inline constexpr std::uint32_t kIdleRounds = 3;

@@ -26,6 +26,7 @@ SwarmScheduler::SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees,
       trees_(trees),
       seed_(seed),
       stall_(chunk_time * kStallChunks),
+      request_timeout_(chunk_time * kRequestChunks),
       self_(total_chunks),
       stripe_parent_(trees, 0),
       relaying_(trees, 0),
@@ -331,7 +332,7 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
     plan.peer = best_pos;
     plan.chunks.push_back(c.g);
     ++peers_[best_pos].window_used;
-    inflight_[c.g] = {best_pos, now + kRequestTimeout};
+    inflight_[c.g] = {best_pos, now + request_timeout_};
   }
 
   std::vector<SwarmPlan> out;

@@ -40,7 +40,7 @@
 //     with spare capacity instead of piling reservations onto a
 //     relay-saturated server;
 //   * duplicate suppression — an in-flight chunk is never re-requested
-//     until its kRequestTimeout deadline passes.
+//     until its deadline, kRequestChunks chunk-times after planning, passes.
 //
 // Everything is deterministic: iteration is over ordered maps, time comes
 // from the caller (the fabric clock), randomness is seeded hashing.
@@ -64,7 +64,8 @@ struct SwarmPlan {
 };
 
 // One peer's gossip reading, as decoded off the wire. Bitmap pointers may
-// be null when the message variant doesn't carry that bitmap.
+// be null: a caller that has only a possession bitmap leaves `pending`
+// unset, and that reading keeps the peer's last-reported pending set.
 struct PeerReport {
   const std::vector<std::uint64_t>* have = nullptr;
   const std::vector<std::uint64_t>* pending = nullptr;  // in-flight requests
@@ -76,7 +77,7 @@ struct PeerReport {
 class SwarmScheduler {
  public:
   // `chunk_time` is one chunk's serialization time; kStallChunks of them
-  // make the stall timeout.
+  // make the stall timeout and kRequestChunks the request deadline.
   SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees, std::uint64_t seed,
                  SimTime now, SimTime chunk_time);
 
@@ -98,7 +99,8 @@ class SwarmScheduler {
   [[nodiscard]] const Bitmap& self() const { return self_; }
   [[nodiscard]] bool complete() const { return self_.complete(); }
 
-  // Peer state, fed from SwarmHave gossip (and SwarmReq piggybacks).
+  // Peer state, fed from SwarmHave gossip (a have that carries a request
+  // reports the requested chunks in its pending bitmap).
   // Unknown peers are adopted on first contact (asymmetric shortcut links).
   // A report from a stripe parent whose recovering mask covers one of our
   // trees latches that tree into pull mode too — the orphan signal
@@ -151,7 +153,8 @@ class SwarmScheduler {
   std::uint32_t total_;
   std::uint32_t trees_;
   std::uint64_t seed_;
-  SimTime stall_;  // kStallChunks chunk-times
+  SimTime stall_;            // kStallChunks chunk-times
+  SimTime request_timeout_;  // kRequestChunks chunk-times
   Bitmap self_;
   std::map<std::uint64_t, Peer> peers_;
   std::map<std::uint32_t, Flight> inflight_;

@@ -266,15 +266,30 @@ TEST(DecodeFuzz, SwarmHave) {
   have.total_chunks = 130;  // 3 words, top word mostly padding
   have.words = {0xffffffffffffffffull, 0x00000000000000ffull, 0x3ull};
   have.pending_words = {0ull, 0xff00ull, 0x1ull};
+  net::SwarmHave asking = have;
+  asking.indices = {0, 7, 129};
+  asking.pending_words[0] |= 0x81ull;
+  asking.pending_words[2] |= 0x2ull;
   fuzz_decoder(
       have.encode(), [](const Bytes& b) { return net::SwarmHave::decode(b).is_ok(); },
       17);
+  // The plain have is a prefix of the one carrying a request, so dropping
+  // exactly the trailer leaves well-formed gossip: no shorter buffer may
+  // decode as a request.
+  fuzz_decoder(
+      asking.encode(),
+      [](const Bytes& b) {
+        auto r = net::SwarmHave::decode(b);
+        return r.is_ok() && !r.value().indices.empty();
+      },
+      18);
   // The word count is implied by total_chunks — a geometry claim the words
   // can't cover must fail, and a huge claim must not drive an allocation.
   for (std::uint32_t bad : {0u, net::kMaxWireChunks + 1, 0xffffffffu}) {
-    net::SwarmHave evil = have;
-    evil.total_chunks = bad;
-    EXPECT_FALSE(net::SwarmHave::decode(evil.encode()).is_ok()) << bad;
+    for (net::SwarmHave evil : {have, asking}) {
+      evil.total_chunks = bad;
+      EXPECT_FALSE(net::SwarmHave::decode(evil.encode()).is_ok()) << bad;
+    }
   }
   {
     // Have-bitmap present but pending bitmap missing: truncation, not OK.
@@ -282,41 +297,55 @@ TEST(DecodeFuzz, SwarmHave) {
     cut.pending_words.pop_back();
     EXPECT_FALSE(net::SwarmHave::decode(cut.encode()).is_ok());
   }
+  // A requested index outside the declared geometry is corruption.
+  net::SwarmHave oob = asking;
+  oob.indices.push_back(have.total_chunks);
+  EXPECT_FALSE(net::SwarmHave::decode(oob.encode()).is_ok());
+  // A hostile index count with no indices behind it must not drive a
+  // reservation.
+  Bytes hostile = have.encode();
+  hostile.insert(hostile.end(), {0xff, 0xff, 0xff, 0xff});  // 4 billion indices
+  EXPECT_FALSE(net::SwarmHave::decode(hostile).is_ok());
+  // A trailer that is not exactly one whole count-plus-indices list is
+  // corrupt: stray bytes, a count short of or past its indices, and an
+  // empty request spelled out (encode() omits it).
+  const Bytes plain = have.encode();
+  auto with_trailer = [&plain](std::initializer_list<std::uint32_t> words,
+                               std::size_t stray) {
+    Writer w;
+    for (std::uint32_t v : words) w.u32(v);
+    Bytes out = plain;
+    const Bytes trailer = w.take();
+    out.insert(out.end(), trailer.begin(), trailer.end());
+    out.insert(out.end(), stray, 1);
+    return out;
+  };
+  for (const Bytes& bad : {with_trailer({}, 1), with_trailer({}, 3), with_trailer({}, 5),
+                           with_trailer({0}, 0), with_trailer({2, 7}, 0),
+                           with_trailer({1, 7, 8}, 0), with_trailer({1, 7}, 2)}) {
+    auto r = net::SwarmHave::decode(bad);
+    ASSERT_FALSE(r.is_ok()) << bad.size() - plain.size();
+    EXPECT_EQ(r.code(), Errc::corrupt) << bad.size() - plain.size();
+  }
+  // A request adds exactly its count and indices after the plain bytes.
+  const Bytes carried = with_trailer({3, 0, 7, 129}, 0);
+  net::SwarmHave same_bitmaps = asking;
+  same_bitmaps.pending_words = have.pending_words;
+  EXPECT_EQ(same_bitmaps.encode(), carried);
   auto ok = net::SwarmHave::decode(have.encode()).expect("valid");
   EXPECT_EQ(ok.position, have.position);
   EXPECT_EQ(ok.backlog, have.backlog);
   EXPECT_EQ(ok.recovering, have.recovering);
   EXPECT_EQ(ok.words, have.words);
   EXPECT_EQ(ok.pending_words, have.pending_words);
-}
-
-TEST(DecodeFuzz, SwarmReq) {
-  net::SwarmReq req;
-  req.transfer_id = 43;
-  req.position = 21;
-  req.backlog = 1;
-  req.indices = {0, 7, 39};
-  req.total_chunks = 40;
-  req.have_words = {0x00ff00ff00ff00ffull};
-  req.pending_words = {0x0000000000000081ull};
-  fuzz_decoder(
-      req.encode(), [](const Bytes& b) { return net::SwarmReq::decode(b).is_ok(); },
-      18);
-  // An index outside the declared geometry is corruption.
-  net::SwarmReq oob = req;
-  oob.indices.push_back(40);
-  EXPECT_FALSE(net::SwarmReq::decode(oob.encode()).is_ok());
-  // A hostile index count with no payload must not drive a reservation.
-  Writer w;
-  w.u64(1);
-  w.u64(2);
-  w.u32(0);
-  w.u32(0xffffffffu);  // claims 4 billion indices, provides none
-  EXPECT_FALSE(net::SwarmReq::decode(w.take()).is_ok());
-  auto ok = net::SwarmReq::decode(req.encode()).expect("valid");
-  EXPECT_EQ(ok.indices, req.indices);
-  EXPECT_EQ(ok.have_words, req.have_words);
-  EXPECT_EQ(ok.pending_words, req.pending_words);
+  EXPECT_TRUE(ok.indices.empty());
+  auto ok_asking = net::SwarmHave::decode(asking.encode()).expect("valid");
+  EXPECT_EQ(ok_asking.position, asking.position);
+  EXPECT_EQ(ok_asking.backlog, asking.backlog);
+  EXPECT_EQ(ok_asking.recovering, asking.recovering);
+  EXPECT_EQ(ok_asking.indices, asking.indices);
+  EXPECT_EQ(ok_asking.words, asking.words);
+  EXPECT_EQ(ok_asking.pending_words, asking.pending_words);
 }
 
 TEST(DecodeFuzz, FetchReq) {

@@ -31,6 +31,7 @@ TEST(MetricsRegistry, SameNameSameInstrument) {
   Counter& a = reg.counter("obs_test.hits");
   Counter& b = reg.counter("obs_test.hits");
   EXPECT_EQ(&a, &b);
+  a.reset();  // the registry outlives a repeated run of this test
   a.inc(3);
   b.inc(2);
   EXPECT_EQ(a.value(), 5u);
@@ -90,7 +91,9 @@ TEST(Histogram, ObserveAndQuantile) {
 
 TEST(Snapshot, JsonIsStableAndCompleteAcrossExports) {
   auto& reg = MetricsRegistry::global();
-  reg.counter("obs_test.json_counter", {{"k", "v"}}).inc(42);
+  Counter& counter = reg.counter("obs_test.json_counter", {{"k", "v"}});
+  counter.reset();  // the registry outlives a repeated run of this test
+  counter.inc(42);
   reg.gauge("obs_test.json_gauge").set(-3);
   reg.histogram("obs_test.json_hist", {{"unit", "us"}}).observe(100.0);
 
@@ -126,6 +129,8 @@ TEST(Metrics, MultiThreadedIncrementsAreExact) {
   c.reset();
   h.reset();
   g.reset();
+  reg.counter("obs_test.mt_shared", {{"t", "odd"}}).reset();
+  reg.counter("obs_test.mt_shared", {{"t", "even"}}).reset();
 
   std::vector<std::thread> workers;
   workers.reserve(kThreads);

@@ -7,6 +7,8 @@
 
 #include <set>
 
+#include "net/chunk_wire.hpp"
+#include "net/swarm_wire.hpp"
 #include "sim_cluster.hpp"
 #include "swarm/gossip.hpp"
 #include "swarm/scheduler.hpp"
@@ -181,9 +183,9 @@ TEST(Scheduler, InFlightChunksAreNeverReplanned) {
   // Same instant: everything plannable is in flight, nothing new.
   auto second = s.plan(kPlanAt);
   EXPECT_TRUE(second.empty());
-  // Past the request timeout the requests expire and re-plan on the peer,
+  // Past the request deadline the requests expire and re-plan on the peer,
   // which is still gossiping.
-  const SimTime later = kPlanAt + kRequestTimeout + SimTime::millis(1);
+  const SimTime later = kPlanAt + kChunkTime * kRequestChunks + SimTime::millis(1);
   s.peer_update(2, full_bitmap(kChunks).words(), 0, later);
   auto third = s.plan(later);
   ASSERT_EQ(third.size(), 1u);
@@ -438,6 +440,55 @@ TEST(SwarmPush, DuplicateReceivesAreAccounted) {
   EXPECT_LE(wasted, dup * cfg.chunk.chunk_bytes);
   // Duplicate overhead must stay a small fraction of useful traffic.
   EXPECT_LE(dup, received / 10) << "dup=" << dup << " received=" << received;
+}
+
+TEST(SwarmPush, OversizedRequestQueuesOneBatchOfServes) {
+  // The instructor's tree-0 stripe child is replaced by a raw endpoint. On
+  // the begin it gossips one have naming more than kRequestBatch tree-1
+  // chunks (never relayed to it); the instructor must serve exactly
+  // kRequestBatch of them and ignore the rest.
+  constexpr std::size_t kStations = 7;
+  constexpr std::uint32_t kAsked = swarm::kRequestBatch + 8;
+  StationConfig cfg = swarm_config();
+  Cluster c(kStations, 2, cfg);
+  auto doc = ten_mb_lecture(c.node(0).id());
+  const std::uint64_t y_pos =
+      swarm::stripe_children(1, 0, cfg.swarm.trees, 2, kStations).front();
+  ASSERT_NE(y_pos, swarm::stripe_children(1, 1, cfg.swarm.trees, 2, kStations).front());
+  const StationId x = c.id(0);
+  const StationId y = c.id(y_pos - 1);
+  const auto total =
+      static_cast<std::uint32_t>(blob::chunk_count(10 << 20, cfg.chunk.chunk_bytes));
+  ASSERT_GE(total, 2 * kAsked);
+  std::uint64_t transfer_id = 0;
+  std::uint32_t served = 0;
+  c.net().set_handler(y, [&](const net::Message& msg) {
+    if (msg.from != x) return;
+    if (msg.type == net::kChunkData) {
+      auto d = net::ChunkData::decode(msg.payload, msg.body);
+      if (d && d.value().transfer_id == transfer_id && d.value().index % 2 == 1) ++served;
+      return;
+    }
+    if (msg.type != net::kChunkBegin || transfer_id != 0) return;
+    transfer_id = net::ChunkBegin::decode(msg.payload).expect("begin").transfer_id;
+    net::SwarmHave ask;
+    ask.transfer_id = transfer_id;
+    ask.position = y_pos;
+    ask.total_chunks = total;
+    ask.words.assign((total + 63) / 64, 0);
+    ask.pending_words = ask.words;
+    for (std::uint32_t i = 0; i < kAsked; ++i) ask.indices.push_back(2 * i + 1);
+    net::Message have;
+    have.from = y;
+    have.to = x;
+    have.type = net::kSwarmHave;
+    have.payload = ask.encode();
+    c.net().send(std::move(have)).expect("send");
+  });
+  ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
+  c.net().run();
+  ASSERT_NE(transfer_id, 0u);
+  EXPECT_EQ(served, swarm::kRequestBatch);
 }
 
 TEST(SwarmPush, LossyLinksSelfHealAndTerminate) {
